@@ -19,52 +19,17 @@ let spawn_dbs rt ~n_dbs ~timing ~disk_force_latency ~seed_data ~observers =
    transaction it ran before the crash) and ≥ 1000, disjoint from the
    client's try numbers. *)
 
-let span breakdown label f =
-  match breakdown with
-  | None -> f ()
-  | Some bd -> Stats.Breakdown.span bd label f
-
 (* One client try: business logic then single-phase commit everywhere.
    [xid] is freshly minted per execution — an unreliable server has no
    exactly-once bookkeeping, so a client retry is a brand-new database
    transaction (the double-charge hazard). *)
 let serve ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j ~xid =
-  let collect label req matches =
-    let (_ : (Types.proc_id * unit) list) =
-      span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ~poll ch rd ~dbs ~request:req
-            ~matches)
-    in
-    ()
-  in
-  collect "start"
-    (fun _ -> Dbms.Msg.Xa_start { xid })
-    (function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll ~fresh_seq ch rd ~db ~xid ops
-  in
   let result =
-    span breakdown "SQL" (fun () ->
-        business.Etx.Business.run
-          { Etx.Business.xid; dbs; exec; attempt = j }
-          ~body:request.body)
+    Etx.Business.compute ~poll ?breakdown business ch rd ~xid ~dbs
+      ~rid:request.rid ~attempt:j ~body:request.body
   in
-  Rt.note (Printf.sprintf "computed:%d:%d:%s" request.rid j result);
-  collect "end"
-    (fun _ -> Dbms.Msg.Xa_end { xid })
-    (function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
   let outcomes =
-    span breakdown "commit" (fun () ->
+    Stats.Breakdown.span_opt breakdown "commit" (fun () ->
         Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
           ~request:(fun _ -> Dbms.Msg.Commit1 { xid })
           ~matches:(function

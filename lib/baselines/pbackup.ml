@@ -9,69 +9,16 @@ type Types.payload +=
   | Pb_outcome of { xid : Dbms.Xid.t; decision : decision }
   | Pb_outcome_ack of { xid : Dbms.Xid.t }
 
-let span breakdown label f =
-  match breakdown with
-  | None -> f ()
-  | Some bd -> Stats.Breakdown.span bd label f
-
-let decide_all ~poll ch rd ~dbs ~xid outcome =
-  let (_ : (Types.proc_id * unit) list) =
-    Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
-      ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
-      ~matches:(function
-        | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
-        | _ -> None)
-  in
-  ()
-
 (* Run business + prepare; shared by the primary and the promoted backup. *)
 let execute ?breakdown ~poll ~dbs ~business ch rd (request : request) ~j =
   let xid = Dbms.Xid.make ~rid:request.rid ~j in
-  let collect label req matches =
-    let (_ : (Types.proc_id * unit) list) =
-      span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ~poll ch rd ~dbs ~request:req ~matches)
-    in
-    ()
-  in
-  collect "start"
-    (fun _ -> Dbms.Msg.Xa_start { xid })
-    (function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll ~fresh_seq ch rd ~db ~xid ops
-  in
   let result =
-    span breakdown "SQL" (fun () ->
-        business.Etx.Business.run
-          { Etx.Business.xid; dbs; exec; attempt = j }
-          ~body:request.body)
-  in
-  Rt.note (Printf.sprintf "computed:%d:%d:%s" request.rid j result);
-  collect "end"
-    (fun _ -> Dbms.Msg.Xa_end { xid })
-    (function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let votes =
-    span breakdown "prepare" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
-          ~request:(fun _ -> Dbms.Msg.Prepare { xid })
-          ~matches:(function
-            | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
-                Some vote
-            | _ -> None))
+    Etx.Business.compute ~poll ?breakdown business ch rd ~xid ~dbs
+      ~rid:request.rid ~attempt:j ~body:request.body
   in
   let outcome =
-    if List.for_all (fun (_, v) -> v = Dbms.Rm.Yes) votes then Dbms.Rm.Commit
-    else Dbms.Rm.Abort
+    Stats.Breakdown.span_opt breakdown "prepare" (fun () ->
+        Dbms.Stub.prepare_all ~poll ch rd ~dbs ~xid)
   in
   (xid, { result = Some result; outcome })
 
@@ -83,6 +30,7 @@ let backup_rpc ch ~backup ~request_payload ~matches =
 
 let spawn_primary (rt : Rt.t) ?(poll = 10.) ?breakdown ~backup ~dbs
     ~business () =
+  let span label f = Stats.Breakdown.span_opt breakdown label f in
   rt.spawn ~name:"pb-primary" ~main:(fun ~recovery:_ () ->
       let ch = Rchannel.create () in
       Rchannel.start ch;
@@ -104,7 +52,7 @@ let spawn_primary (rt : Rt.t) ?(poll = 10.) ?breakdown ~backup ~dbs
                   | None ->
                       let xid = Dbms.Xid.make ~rid:request.rid ~j in
                       (* record the start at the backup (replaces log-start) *)
-                      span breakdown "log-start" (fun () ->
+                      span "log-start" (fun () ->
                           backup_rpc ch ~backup
                             ~request_payload:
                               (Pb_start { xid; request; client = m.src })
@@ -117,15 +65,15 @@ let spawn_primary (rt : Rt.t) ?(poll = 10.) ?breakdown ~backup ~dbs
                           ~j
                       in
                       (* record the outcome (replaces log-outcome) *)
-                      span breakdown "log-outcome" (fun () ->
+                      span "log-outcome" (fun () ->
                           backup_rpc ch ~backup
                             ~request_payload:(Pb_outcome { xid; decision = d })
                             ~matches:(function
                               | Pb_outcome_ack { xid = x } ->
                                   Dbms.Xid.equal x xid
                               | _ -> false));
-                      span breakdown "commit" (fun () ->
-                          decide_all ~poll ch rd ~dbs ~xid d.outcome);
+                      span "commit" (fun () ->
+                          Dbms.Stub.decide_all ~poll ch rd ~dbs ~xid d.outcome);
                       Hashtbl.replace served (request.rid, j) d;
                       d
                 in
@@ -201,7 +149,7 @@ let spawn_backup (rt : Rt.t) ?(poll = 10.) ?breakdown ~fd ~takeover_check
                             execute ?breakdown ~poll ~dbs ~business ch rd
                               request ~j
                           in
-                          decide_all ~poll ch rd ~dbs ~xid d.outcome;
+                          Dbms.Stub.decide_all ~poll ch rd ~dbs ~xid d.outcome;
                           Hashtbl.replace served (request.rid, j) d;
                           d
                     in
@@ -223,7 +171,7 @@ let spawn_backup (rt : Rt.t) ?(poll = 10.) ?breakdown ~fd ~takeover_check
                 | Some d -> d (* finish what the primary decided *)
                 | None -> abort_decision
               in
-              decide_all ~poll ch rd ~dbs ~xid decision.outcome;
+              Dbms.Stub.decide_all ~poll ch rd ~dbs ~xid decision.outcome;
               Rchannel.send ch entry.client
                 (Result_msg
                    { rid = entry.request.rid; j = xid.Dbms.Xid.j; decision; group = 0 }))

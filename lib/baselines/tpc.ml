@@ -12,82 +12,28 @@ type log_record =
    transaction it ran before the crash) and ≥ 1000, disjoint from the
    client's try numbers. *)
 
-let span breakdown label f =
-  match breakdown with
-  | None -> f ()
-  | Some bd -> Stats.Breakdown.span bd label f
-
-let decide_all ~poll ch rd ~dbs ~xid outcome =
-  let (_ : (Types.proc_id * unit) list) =
-    Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
-      ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
-      ~matches:(function
-        | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid -> Some ()
-        | _ -> None)
-  in
-  ()
-
 (* [xid] is freshly minted per execution: 2PC gives at-most-once per
    TRANSACTION, but a client retry after a timeout is a new transaction —
    which is exactly the end-user duplication gap the paper motivates with. *)
 let serve ?breakdown ~poll ~log ~dbs ~business ch rd (request : request) ~j
     ~xid =
+  let span label f = Stats.Breakdown.span_opt breakdown label f in
   (* eager IO #1: the start record, before any prepare leaves *)
-  span breakdown "log-start" (fun () ->
+  span "log-start" (fun () ->
       Dstore.Log.append_list log [ L_start xid ];
       Dstore.Log.force ~label:"log-start" log);
-  let collect label req matches =
-    let (_ : (Types.proc_id * unit) list) =
-      span breakdown label (fun () ->
-          Dbms.Stub.broadcast_collect ~poll ch rd ~dbs ~request:req ~matches)
-    in
-    ()
-  in
-  collect "start"
-    (fun _ -> Dbms.Msg.Xa_start { xid })
-    (function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll ~fresh_seq ch rd ~db ~xid ops
-  in
   let result =
-    span breakdown "SQL" (fun () ->
-        business.Etx.Business.run
-          { Etx.Business.xid; dbs; exec; attempt = j }
-          ~body:request.body)
-  in
-  Rt.note (Printf.sprintf "computed:%d:%d:%s" request.rid j result);
-  collect "end"
-    (fun _ -> Dbms.Msg.Xa_end { xid })
-    (function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let votes =
-    span breakdown "prepare" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll ch rd ~dbs
-          ~request:(fun _ -> Dbms.Msg.Prepare { xid })
-          ~matches:(function
-            | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
-                Some vote
-            | _ -> None))
+    Etx.Business.compute ~poll ?breakdown business ch rd ~xid ~dbs
+      ~rid:request.rid ~attempt:j ~body:request.body
   in
   let outcome =
-    if List.for_all (fun (_, v) -> v = Dbms.Rm.Yes) votes then Dbms.Rm.Commit
-    else Dbms.Rm.Abort
+    span "prepare" (fun () -> Dbms.Stub.prepare_all ~poll ch rd ~dbs ~xid)
   in
   (* eager IO #2: the outcome record, before any decide leaves *)
-  span breakdown "log-outcome" (fun () ->
+  span "log-outcome" (fun () ->
       Dstore.Log.append_list log [ L_outcome (xid, outcome) ];
       Dstore.Log.force ~label:"log-outcome" log);
-  span breakdown "commit" (fun () ->
-      decide_all ~poll ch rd ~dbs ~xid outcome);
+  span "commit" (fun () -> Dbms.Stub.decide_all ~poll ch rd ~dbs ~xid outcome);
   { result = Some result; outcome }
 
 (* Presumed-nothing recovery: re-drive logged outcomes, abort logged starts
@@ -104,11 +50,11 @@ let recover_log ~poll ~log ~dbs ch rd =
   List.iter
     (fun xid ->
       match Hashtbl.find_opt outcomes xid with
-      | Some o -> decide_all ~poll ch rd ~dbs ~xid o
+      | Some o -> Dbms.Stub.decide_all ~poll ch rd ~dbs ~xid o
       | None ->
           Dstore.Log.append_list log [ L_outcome (xid, Dbms.Rm.Abort) ];
           Dstore.Log.force ~label:"log-outcome" log;
-          decide_all ~poll ch rd ~dbs ~xid Dbms.Rm.Abort)
+          Dbms.Stub.decide_all ~poll ch rd ~dbs ~xid Dbms.Rm.Abort)
     (List.rev !started)
 
 let spawn (rt : Rt.t) ?(name = "2pc-coord") ?(poll = 10.) ?breakdown ~log

@@ -48,6 +48,10 @@ let build ?net ?map ?(shards = 1) ?(n_app_servers = 3) ?(n_dbs = 1)
   if provision < 0 then invalid_arg "Cluster.build: provision must be >= 0";
   if provision > 0 && not reconfig then
     invalid_arg "Cluster.build: provision needs ~reconfig:true";
+  if cross && group_commit then
+    invalid_arg
+      "Cluster.build: ~cross:true with ~group_commit:true breaks \
+       exactly-once (a database can commit two results for one request)";
   let map =
     match map with
     | Some m -> m

@@ -115,7 +115,11 @@ val build :
     wiring ({!Etx.Appserver.cross_cfg}): requests whose declared keysets
     span several groups then commit atomically via Paxos Commit. With the
     default [false] no gx fiber is forked anywhere and every message
-    stream is identical to earlier revisions.
+    stream is identical to earlier revisions. Raises [Invalid_argument]
+    when combined with [group_commit:true]: that combination breaks
+    exactly-once (a database can commit two results for one request), so
+    it is rejected until the defect is fixed (DESIGN.md, supported
+    combinations).
 
     [reconfig:true] wires elastic reconfiguration (DESIGN.md §16): every
     application server tracks the epoch-versioned shard map and bounces

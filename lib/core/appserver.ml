@@ -45,7 +45,6 @@ type config = {
   fd_spec : fd_spec;
   clean_period : float;
   poll : float;
-  exec_backoff : float;
   gc_after : float option;
   backend : register_backend;
   persist : Consensus.Agent.persistence option;
@@ -64,9 +63,6 @@ type config = {
       (** max provable staleness (LSN delta) tolerated on a replica read;
           a replica whose lag exceeds it answers stale and the request
           falls back to the primary pipeline *)
-  replica_patience : float;
-      (** how long a replica read may block before falling back to the
-          primary pipeline (virtual ms) *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] = cross-shard requests cannot
           arise (the request path is then byte-identical to the
@@ -77,10 +73,10 @@ type config = {
           the static protocol) *)
 }
 
-let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(poll = 10.)
-    ?(exec_backoff = 40.) ?gc_after ?(backend = Reg_ct) ?persist ?breakdown
-    ?(group = 0) ?(batch = 1) ?cache ?replicas ?(replica_bound = 8) ?(replica_patience = 1_000.) ?cross ?reconfig ~rt ~index
-    ~servers ~dbs ~business () =
+let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(poll = 10.) ?gc_after
+    ?(backend = Reg_ct) ?persist ?breakdown ?(group = 0) ?(batch = 1) ?cache
+    ?replicas ?(replica_bound = 8) ?cross ?reconfig ~rt ~index ~servers ~dbs
+    ~business () =
   (match (backend, persist) with
   | Reg_synod, Some _ ->
       invalid_arg
@@ -101,7 +97,6 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(poll = 10.)
     fd_spec;
     clean_period;
     poll;
-    exec_backoff;
     gc_after;
     backend;
     persist;
@@ -110,10 +105,14 @@ let config ?(fd_spec = Fd_oracle) ?(clean_period = 20.) ?(poll = 10.)
     cache;
     replicas;
     replica_bound;
-    replica_patience;
     cross;
     reconfig;
   }
+
+(* How long a replica read may block before falling back to the primary
+   pipeline (virtual ms): a crashed or overloaded replica stalls a request
+   only this long. *)
+let replica_patience = 1_000.
 
 (* Live reconfiguration state of one server: its current map view, and —
    while it belongs to a migration's source group — the target map it is
@@ -164,6 +163,45 @@ type replica_memo =
   | Replica_answered of string * int * int  (** result, lsn, lag *)
   | Replica_declined
 
+(* Obs handles, bound once at spawn: no-ops when the runtime has no sink,
+   so obs on or off is decided here and nowhere else. A span opens with its
+   attributes and closes with any it learned meanwhile. *)
+type obs = {
+  count : string -> int -> unit;
+  observe : string -> float -> unit;
+  gauge : string -> float -> unit;
+  open_span :
+    ?parent:int -> trace:int -> string -> (string * string) list -> int;
+  close_span : ?attrs:(string * string) list -> int -> unit;
+}
+
+let obs_of (sink : Rt.obs_sink option) =
+  match sink with
+  | None ->
+      {
+        count = (fun _ _ -> ());
+        observe = (fun _ _ -> ());
+        gauge = (fun _ _ -> ());
+        open_span = (fun ?parent:_ ~trace:_ _ _ -> 0);
+        close_span = (fun ?attrs:_ _ -> ());
+      }
+  | Some s ->
+      let attr id = List.iter (fun (k, v) -> s.Rt.obs_span_attr id k v) in
+      {
+        count = s.Rt.obs_count;
+        observe = s.Rt.obs_observe;
+        gauge = s.Rt.obs_gauge;
+        open_span =
+          (fun ?parent ~trace name attrs ->
+            let id = s.Rt.obs_span_open ?parent ~trace name in
+            attr id attrs;
+            id);
+        close_span =
+          (fun ?(attrs = []) id ->
+            attr id attrs;
+            s.Rt.obs_span_close id);
+      }
+
 type ctx = {
   cfg : config;
   self : Types.proc_id;
@@ -180,6 +218,7 @@ type ctx = {
           stay the safety argument *)
   rc : rc_state option;  (** reconfiguration state; None = map fixed *)
   sink : Rt.obs_sink option;  (** fetched once at spawn; None = obs off *)
+  obs : obs;  (** [obs_of sink] *)
 }
 
 let rid_state ctx rid =
@@ -239,9 +278,7 @@ let rc_bounced ctx ~(request : request) ~j ~client =
         | None -> false
       in
       if (foreign || sealed_away) && not replayable then begin
-        (match ctx.sink with
-        | None -> ()
-        | Some s -> s.Rt.obs_count "migrate.bounced" 1);
+        ctx.obs.count "migrate.bounced" 1;
         Rt.note
           (Printf.sprintf "bounced:g%d:e%d" ctx.cfg.group (map_epoch ctx));
         send_nack ctx ~rid:request.rid ~j ~client;
@@ -249,38 +286,46 @@ let rc_bounced ctx ~(request : request) ~j ~client =
       end
       else false
 
-(* Register names are namespaced by replica group: the consensus layer keys
-   instances by these strings, so the prefix guarantees two shards' regA[j]
-   / regD[j] arrays can never collide even if their traffic ever met (rids
-   are also globally unique per runtime — the prefix makes the isolation
-   syntactic rather than an accident of uid allocation). The canonical
-   encode/decode pair lives in {!Etx_types.Reg_name}. *)
-let reg_a_name ~group rid = Reg_name.reg_a ~group ~rid
-
-let reg_d_name ~group rid = Reg_name.reg_d ~group ~rid
-
-let span ctx label f =
-  match ctx.cfg.breakdown with
-  | None -> f ()
-  | Some bd -> Stats.Breakdown.span bd label f
+let span ctx label f = Stats.Breakdown.span_opt ctx.cfg.breakdown label f
 
 (* Obs phase span around [f]. Deliberately NOT exception-safe: if the
    process crashes mid-phase the span must stay open — that is the signal a
    fail-over post-mortem looks for. *)
-let ospan ctx ?(parent = 0) ~trace name f =
-  match ctx.sink with
-  | None -> f ()
-  | Some s ->
-      let id = s.Rt.obs_span_open ~parent ~trace name in
-      let r = f () in
-      s.Rt.obs_span_close id;
-      r
+let ospan ctx ~parent ~trace name f =
+  let id = ctx.obs.open_span ~parent ~trace name [] in
+  let r = f () in
+  ctx.obs.close_span id;
+  r
+
+(* A protocol phase: the Figure 8 breakdown category [label] around the obs
+   phase span [name]. *)
+let phase ctx label ~parent ~trace name f =
+  span ctx label (fun () -> ospan ctx ~parent ~trace name f)
+
+(* Run [f] on every element, each in a fiber [name] of its own, and wait
+   for all the results (in order). *)
+let fork_all name f xs =
+  let out = Array.make (List.length xs) None in
+  List.iteri (fun i x -> Rt.fork name (fun () -> out.(i) <- Some (f x))) xs;
+  while Array.exists Option.is_none out do
+    Rt.sleep 1.
+  done;
+  Array.to_list out |> List.map Option.get
+
+(* The two loops a server fiber runs: handle each message of class [cls]
+   as it arrives, or run [f] once every [period]. *)
+let rec serve cls f =
+  Option.iter f (Rt.recv_cls cls);
+  serve cls f
+
+let rec every period f =
+  Rt.sleep period;
+  f ();
+  every period f
 
 (* ---------------- Method cache (DESIGN.md §13) ---------------- *)
 
-let cache_count ctx name n =
-  if n > 0 then
-    match ctx.sink with None -> () | Some s -> s.Rt.obs_count name n
+let cache_count ctx name n = if n > 0 then ctx.obs.count name n
 
 (* Serve a read-only request straight from the method cache; [true] iff a
    reply went out. A hit bypasses the whole pipeline — no election, no
@@ -303,16 +348,11 @@ let serve_cached ctx ~(request : request) ~j ~client =
                Rchannel.send ctx.ch client
                  (Result_cached_msg
                     { rid = request.rid; j; result; group = ctx.cfg.group });
-               (match ctx.sink with
-               | None -> ()
-               | Some s ->
-                   s.Rt.obs_count "cache.hit" 1;
-                   s.Rt.obs_observe "cache.hit_latency_ms" (Rt.now () -. t0));
+               ctx.obs.count "cache.hit" 1;
+               ctx.obs.observe "cache.hit_latency_ms" (Rt.now () -. t0);
                true
            | None ->
-               (match ctx.sink with
-               | None -> ()
-               | Some s -> s.Rt.obs_count "cache.miss" 1);
+               ctx.obs.count "cache.miss" 1;
                false
          end
 
@@ -332,28 +372,23 @@ exception Replica_fallback
    committed-fresh values, a replica answers provably-stale ones, and
    laundering the latter into the former would break cache coherence. *)
 let serve_replica ctx ~(request : request) ~j ~client =
-  match ctx.cfg.replicas with
-  | None -> false
-  | Some _ when Hashtbl.mem ctx.replica_memo request.rid -> (
-      match Hashtbl.find ctx.replica_memo request.rid with
-      | Replica_declined -> false
-      | Replica_answered (result, lsn, lag) ->
-          (* replay the answer restamped with the incoming try — the
-             client only accepts its current j *)
-          Rchannel.send ctx.ch client
-            (Result_replica_msg
-               { rid = request.rid; j; result; lsn; lag; group = ctx.cfg.group });
-          (match ctx.sink with
-          | None -> ()
-          | Some s -> s.Rt.obs_count "server.replica_replayed" 1);
-          true)
-  | Some replicas_of ->
+  match (ctx.cfg.replicas, Hashtbl.find_opt ctx.replica_memo request.rid) with
+  | None, _ | Some _, Some Replica_declined -> false
+  | Some _, Some (Replica_answered (result, lsn, lag)) ->
+      (* replay the answer restamped with the incoming try — the client
+         only accepts its current j *)
+      Rchannel.send ctx.ch client
+        (Result_replica_msg
+           { rid = request.rid; j; result; lsn; lag; group = ctx.cfg.group });
+      ctx.obs.count "server.replica_replayed" 1;
+      true
+  | Some replicas_of, None ->
       ctx.cfg.business.Business.read_only request.body
       && begin
            let rid = request.rid in
            let bound = ctx.cfg.replica_bound in
            let t0 = Rt.now () in
-           let seq = ref 0 in
+           let next_seq = Dbms.Stub.seq_counter () in
            let snapshot = ref None in
            (* (lsn, lag) all replies must agree on *)
            let chosen_db = ref None in
@@ -370,8 +405,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
                | None | Some [] -> raise Replica_fallback
                | Some rs -> List.nth rs (rid mod List.length rs)
              in
-             let s = !seq in
-             incr seq;
+             let s = next_seq () in
              Rchannel.send ctx.ch replica
                (Dbms.Msg.Replica_exec { rid; seq = s; ops; bound });
              let filter m =
@@ -389,7 +423,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
                 request only briefly before it falls back, never blackhole
                 it (replies are filtered by seq, so a late answer to an
                 abandoned attempt is ignored) *)
-             let deadline = Rt.now () +. ctx.cfg.replica_patience in
+             let deadline = Rt.now () +. replica_patience in
              let rec wait () =
                let left = deadline -. Rt.now () in
                if left <= 0. then raise Replica_fallback
@@ -434,12 +468,8 @@ let serve_replica ctx ~(request : request) ~j ~client =
                Rchannel.send ctx.ch client
                  (Result_replica_msg
                     { rid; j; result; lsn; lag; group = ctx.cfg.group });
-               (match ctx.sink with
-               | None -> ()
-               | Some s ->
-                   s.Rt.obs_count "server.replica_served" 1;
-                   s.Rt.obs_observe "server.replica_latency_ms"
-                     (Rt.now () -. t0));
+               ctx.obs.count "server.replica_served" 1;
+               ctx.obs.observe "server.replica_latency_ms" (Rt.now () -. t0);
                true
            | _result, None ->
                (* the business logic never read anything: serve it through
@@ -451,9 +481,7 @@ let serve_replica ctx ~(request : request) ~j ~client =
                   stale, refusing or too slow once would eat another SQL
                   round and patience window on every retransmission *)
                Hashtbl.replace ctx.replica_memo rid Replica_declined;
-               (match ctx.sink with
-               | None -> ()
-               | Some s -> s.Rt.obs_count "server.replica_fallback" 1);
+               ctx.obs.count "server.replica_fallback" 1;
                false
          end
 
@@ -500,22 +528,16 @@ let cache_generation ctx =
    Forked only when the cache is on — without it the class goes unread
    (and cache-less deployments never receive these messages at all). *)
 let invalidate_thread ctx cache () =
-  let rec loop () =
-    (match Rt.recv_cls Dbms.Msg.cls_invalidate with
-    | None -> ()
-    | Some m -> (
-        match m.payload with
-        | Dbms.Msg.Invalidate { keys = [] } ->
-            (* flush-all sentinel: a recovered database can no longer
-               enumerate the write keysets of the commits it replayed *)
-            cache_count ctx "cache.invalidate" (Method_cache.flush cache)
-        | Dbms.Msg.Invalidate { keys } ->
-            cache_count ctx "cache.invalidate"
-              (Method_cache.invalidate cache ~writes:keys)
-        | _ -> ()));
-    loop ()
-  in
-  loop ()
+  serve Dbms.Msg.cls_invalidate (fun m ->
+      match m.payload with
+      | Dbms.Msg.Invalidate { keys = [] } ->
+          (* flush-all sentinel: a recovered database can no longer
+             enumerate the write keysets of the commits it replayed *)
+          cache_count ctx "cache.invalidate" (Method_cache.flush cache)
+      | Dbms.Msg.Invalidate { keys } ->
+          cache_count ctx "cache.invalidate"
+            (Method_cache.invalidate cache ~writes:keys)
+      | _ -> ())
 
 (* ---------------- Fig. 4: terminate() ---------------- *)
 
@@ -526,160 +548,100 @@ let send_result ctx st ~rid ~j decision =
       Rchannel.send ctx.ch c
         (Result_msg { rid; j; decision; group = ctx.cfg.group })
 
-let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
-  let tspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent ~trace:rid "terminate" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        id
-  in
-  let xid = Dbms.Xid.make ~rid ~j in
-  let (_ : (Types.proc_id * unit) list) =
-    span ctx "commit" (fun () ->
-        Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-          ~dbs:ctx.cfg.dbs
-          ~request:(fun _ ->
-            Dbms.Msg.Decide { xid; outcome = decision.outcome })
-          ~matches:(function
-            | Dbms.Msg.Ack_decide { xid = x } when Dbms.Xid.equal x xid ->
-                Some ()
-            | _ -> None))
-  in
-  send_result ctx st ~rid ~j decision;
+(* Record try [j]'s decision as terminated here: the replay memo (never
+   regressing a later try), the GC timestamp and — unless [count] is off
+   because a migration's decision transfer only installed it — the
+   terminated/committed counts. *)
+let record_terminated ?(count = true) ctx st ~j (d : decision) =
   (match st.last with
   | Some (j', _) when j' >= j -> ()
-  | Some _ | None -> st.last <- Some (j, decision));
+  | Some _ | None -> st.last <- Some (j, d));
   st.terminated_at <- Some (Rt.now ());
-  match ctx.sink with
-  | None -> ()
-  | Some s ->
-      s.Rt.obs_count "server.terminated" 1;
-      if decision.outcome = Dbms.Rm.Commit then
-        s.Rt.obs_count "server.committed" 1;
-      s.Rt.obs_span_close tspan
+  if count then begin
+    ctx.obs.count "server.terminated" 1;
+    if d.outcome = Dbms.Rm.Commit then ctx.obs.count "server.committed" 1
+  end
 
-(* ---------------- Fig. 4: prepare() ---------------- *)
-
+(* Figure 4's prepare() and terminate() rounds at this group's databases. *)
 let prepare ctx ~xid =
-  let votes =
-    Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-      ~dbs:ctx.cfg.dbs
-      ~request:(fun _ -> Dbms.Msg.Prepare { xid })
-      ~matches:(function
-        | Dbms.Msg.Vote_msg { xid = x; vote } when Dbms.Xid.equal x xid ->
-            Some vote
-        | _ -> None)
+  Dbms.Stub.prepare_all ~poll:ctx.cfg.poll ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid
+
+let decide ctx ~xid outcome =
+  Dbms.Stub.decide_all ~poll:ctx.cfg.poll ctx.ch ctx.rd ~dbs:ctx.cfg.dbs ~xid
+    outcome
+
+let terminate ctx st ?(parent = 0) ~rid ~j (decision : decision) =
+  let tspan =
+    ctx.obs.open_span ~parent ~trace:rid "terminate"
+      [ ("j", string_of_int j) ]
   in
-  if List.for_all (fun (_, v) -> v = Dbms.Rm.Yes) votes then Dbms.Rm.Commit
-  else Dbms.Rm.Abort
+  let xid = Dbms.Xid.make ~rid ~j in
+  span ctx "commit" (fun () -> decide ctx ~xid decision.outcome);
+  send_result ctx st ~rid ~j decision;
+  record_terminated ctx st ~j decision;
+  ctx.obs.close_span tspan
 
 (* ---------------- Fig. 5: the computation thread ---------------- *)
 
-let xa_broadcast ctx ~xid ~label ~request ~matches =
-  let (_ : (Types.proc_id * unit) list) =
-    span ctx label (fun () ->
-        Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-          ~dbs:ctx.cfg.dbs ~request ~matches)
+(* The prologue of a try, shared by the classic and the cross-shard
+   pipeline: one "try" span per (rid, j) attempt on this server, parented
+   under the client's propagated root span, then the regA[j] election with
+   [claim]. Returns the span (phases hang off it) and the decided claim. *)
+let elect_try ctx st ~rid ~j ~attrs claim =
+  let tspan =
+    ctx.obs.open_span ~parent:st.rspan ~trace:rid "try"
+      (("j", string_of_int j) :: attrs)
   in
-  ignore xid
+  let winner =
+    phase ctx "log-start" ~parent:tspan ~trace:rid "election" (fun () ->
+        ctx.regs.reg_write
+          ~name:(Reg_name.reg_a ~group:ctx.cfg.group ~rid)
+          ~j claim)
+  in
+  (tspan, winner)
 
-let run_business ctx ~xid ~attempt ~body =
-  (* one exec-attempt counter per business run: every physical exec this
-     try issues (across databases and conflict retries) gets a distinct
-     sequence number, so a redelivered batch can never execute twice at
-     the resource manager (Rm.exec_dedup) *)
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let exec ~db ops =
-    Dbms.Stub.exec_retry ~poll:ctx.cfg.poll ~backoff:ctx.cfg.exec_backoff
-      ~fresh_seq ctx.ch ctx.rd ~db ~xid ops
-  in
-  let context = { Business.xid; dbs = ctx.cfg.dbs; exec; attempt } in
-  ctx.cfg.business.Business.run context ~body
+(* Another server won the election: it (or the cleaning thread of a correct
+   server) terminates this try; the client's retransmission drives
+   progress. *)
+let lost_election ctx tspan =
+  ctx.obs.close_span ~attrs:[ ("lost_election", "true") ] tspan
 
 let compute_try ctx st ~(request : request) ~j =
   let rid = request.rid in
   let xid = Dbms.Xid.make ~rid ~j in
-  (* one "try" span per (rid, j) attempt on this server, parented under the
-     client's propagated root span; phases hang off it *)
-  let tspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "try" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        id
-  in
-  (* elect the computing server for try j (regA write, "log-start") *)
-  let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
-            ctx.regs.reg_write
-              ~name:(reg_a_name ~group:ctx.cfg.group rid)
-              ~j (Reg_a_value ctx.self)))
+  let tspan, winner =
+    elect_try ctx st ~rid ~j ~attrs:[] (Reg_a_value ctx.self)
   in
   match winner with
   | Reg_a_value w when w = ctx.self ->
       (* snapshot before the business logic reads anything: a fill is only
          accepted if no invalidation intervened (see cache_after_decide) *)
       let gen = cache_generation ctx in
-      ospan ctx ~parent:tspan ~trace:rid "compute" (fun () ->
-          xa_broadcast ctx ~xid ~label:"start"
-            ~request:(fun _ -> Dbms.Msg.Xa_start { xid })
-            ~matches:(function
-              | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid ->
-                  Some ()
-              | _ -> None);
-          let result =
-            span ctx "SQL" (fun () ->
-                run_business ctx ~xid ~attempt:j ~body:request.body)
-          in
-          Rt.note (Printf.sprintf "computed:%d:%d:%s" rid j result);
-          xa_broadcast ctx ~xid ~label:"end"
-            ~request:(fun _ -> Dbms.Msg.Xa_end { xid })
-            ~matches:(function
-              | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid ->
-                  Some ()
-              | _ -> None);
-          result)
-      |> fun result ->
+      let result =
+        ospan ctx ~parent:tspan ~trace:rid "compute" (fun () ->
+            Business.compute ~poll:ctx.cfg.poll ?breakdown:ctx.cfg.breakdown
+              ctx.cfg.business ctx.ch ctx.rd ~xid ~dbs:ctx.cfg.dbs ~rid
+              ~attempt:j ~body:request.body)
+      in
       let outcome =
-        span ctx "prepare" (fun () ->
-            ospan ctx ~parent:tspan ~trace:rid "prepare" (fun () ->
-                prepare ctx ~xid))
+        phase ctx "prepare" ~parent:tspan ~trace:rid "prepare" (fun () ->
+            prepare ctx ~xid)
       in
       let proposal = { result = Some result; outcome } in
       let final =
-        span ctx "log-outcome" (fun () ->
-            ospan ctx ~parent:tspan ~trace:rid "consensus" (fun () ->
-                match
-                  ctx.regs.reg_write
-                    ~name:(reg_d_name ~group:ctx.cfg.group rid)
-                    ~j (Reg_d_value proposal)
-                with
-                | Reg_d_value d -> d
-                | _ -> proposal))
+        phase ctx "log-outcome" ~parent:tspan ~trace:rid "consensus" (fun () ->
+            match
+              ctx.regs.reg_write
+                ~name:(Reg_name.reg_d ~group:ctx.cfg.group ~rid)
+                ~j (Reg_d_value proposal)
+            with
+            | Reg_d_value d -> d
+            | _ -> proposal)
       in
       terminate ctx st ~parent:tspan ~rid ~j final;
       cache_after_decide ctx ~body:request.body ~gen final;
-      (match ctx.sink with
-      | None -> ()
-      | Some s -> s.Rt.obs_span_close tspan)
-  | Reg_a_value _ ->
-      (* another server won the election: it (or the cleaning thread of a
-         correct server) will terminate this try; the client's
-         retransmission drives progress *)
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_span_attr tspan "lost_election" "true";
-          s.Rt.obs_span_close tspan)
+      ctx.obs.close_span tspan
+  | Reg_a_value _ -> lost_election ctx tspan
   | _ -> ()
 
 (* ---------------- DESIGN.md §15: cross-shard commit ---------------- *)
@@ -734,14 +696,12 @@ let entry_replies ~ok entries values =
     List.length
       (List.filter (function Dbms.Rm.Get _ -> true | _ -> false) ops)
   in
-  let _, acc =
-    List.fold_left
-      (fun (values, acc) (anchor, ops) ->
-        let mine, rest = split_at (gets ops) values in
-        (rest, (anchor, { Business.ok; values = mine }) :: acc))
-      (values, []) entries
-  in
-  List.rev acc
+  snd
+    (List.fold_left_map
+       (fun values (anchor, ops) ->
+         let mine, rest = split_at (gets ops) values in
+         (rest, (anchor, { Business.ok; values = mine })))
+       values entries)
 
 (* Execute one branch of global transaction (rid, j) at this shard, exactly
    as the classic pipeline executes a try: XA start round, transactional
@@ -752,116 +712,122 @@ let entry_replies ~ok entries values =
    itself: callers own the decisive write (and must handle losing it). *)
 let run_branch ctx ~rid ~j ~ops =
   let xid = Dbms.Xid.make ~rid ~j in
-  xa_broadcast ctx ~xid ~label:"start"
-    ~request:(fun _ -> Dbms.Msg.Xa_start { xid })
-    ~matches:(function
-      | Dbms.Msg.Xa_started { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
-  let seq = ref 0 in
-  let fresh_seq () =
-    let s = !seq in
-    incr seq;
-    s
-  in
-  let db = List.hd ctx.cfg.dbs in
+  let poll = ctx.cfg.poll and dbs = ctx.cfg.dbs in
+  span ctx "start" (fun () ->
+      Dbms.Stub.xa_start_all ~poll ctx.ch ctx.rd ~dbs ~xid);
   let reply =
     span ctx "SQL" (fun () ->
-        Dbms.Stub.exec_retry ~poll:ctx.cfg.poll ~backoff:ctx.cfg.exec_backoff
-          ~fresh_seq ctx.ch ctx.rd ~db ~xid ops)
+        Dbms.Stub.exec_retry ~poll ctx.ch ctx.rd ~db:(List.hd dbs) ~xid ops)
   in
   let ok, values =
     match reply with
     | Dbms.Rm.Exec_ok { values; business_ok } -> (business_ok, values)
     | Dbms.Rm.Exec_conflict _ | Dbms.Rm.Exec_rejected -> (false, [])
   in
-  xa_broadcast ctx ~xid ~label:"end"
-    ~request:(fun _ -> Dbms.Msg.Xa_end { xid })
-    ~matches:(function
-      | Dbms.Msg.Xa_ended { xid = x } when Dbms.Xid.equal x xid -> Some ()
-      | _ -> None);
+  span ctx "end" (fun () -> Dbms.Stub.xa_end_all ~poll ctx.ch ctx.rd ~dbs ~xid);
   (* a failed branch skips prepare: its vote is No either way, and the
      global Decide(Abort) round releases whatever the exec locked *)
   let ok = ok && prepare ctx ~xid = Dbms.Rm.Commit in
   (ok, values)
 
+(* Shard [k]'s vote register of global transaction (rid, j). Only votes are
+   ever written there; [vote_of] reads anything else as an abort vote. *)
+let abort_vote = (false, [])
+
+let vote_of = function
+  | Gx_vote_value { ok; values } -> (ok, values)
+  | _ -> abort_vote
+
+let read_vote ctx ~rid ~j ~k =
+  Option.map vote_of
+    (ctx.regs.reg_read ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0)
+
+(* Write-once: returns the decided vote, ours or an earlier writer's. *)
+let write_vote ctx ~rid ~j ~k (ok, values) =
+  vote_of
+    (ctx.regs.reg_write ~name:(Reg_name.gx_vote ~rid ~j ~k) ~j:0
+       (Gx_vote_value { ok; values }))
+
+(* Elect branch [k]'s executor through its gx_exec register. *)
+let claim_branch ctx ~rid ~j ~k =
+  ctx.regs.reg_write ~name:(Reg_name.gx_exec ~rid ~j ~k) ~j:0
+    (Reg_a_value ctx.self)
+
+(* Fork [f] as [name] unless work marked [key] already runs here. The
+   check-and-set must not be separated from the fork by a suspension point,
+   or two resends could both start it. The mark only suppresses duplicates —
+   the registers stay the safety argument. *)
+let fork_marked ctx key name f =
+  if not (Hashtbl.mem ctx.gx_running key) then begin
+    Hashtbl.replace ctx.gx_running key ();
+    Rt.fork name (fun () ->
+        Fun.protect ~finally:(fun () -> Hashtbl.remove ctx.gx_running key) f)
+  end
+
 (* Ask the servers of shard [k] — round-robin, resending every clean
-   period (the handler side is idempotent) — until one replies branch
-   [k]'s decided vote. *)
-let gx_vote_rpc ctx (cc : cross_cfg) ~rid ~j ~k ~make =
+   period (the handler side is idempotent) — until one sends a reply
+   [filter] accepts; [None] iff the shard has no servers. *)
+let gx_rpc ctx (cc : cross_cfg) ~k ~make ~filter =
   let peers = cc.peers k in
-  let filter m =
-    match m.Types.payload with
-    | Gx_voted { rid = r; j = j'; k = k'; _ } -> r = rid && j' = j && k' = k
-    | _ -> false
-  in
   let rec loop i =
     Rchannel.send ctx.ch (List.nth peers (i mod List.length peers)) (make ());
     match
       Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply ~filter ()
     with
-    | Some { Types.payload = Gx_voted { ok; values; _ }; _ } -> (ok, values)
-    | Some _ | None -> loop (i + 1)
+    | Some m -> Some m.Types.payload
+    | None -> loop (i + 1)
   in
-  if peers = [] then (false, []) else loop 0
+  if peers = [] then None else loop 0
+
+(* Branch [k]'s decided vote, from its shard. *)
+let gx_vote_rpc ctx cc ~rid ~j ~k ~make =
+  match
+    gx_rpc ctx cc ~k ~make ~filter:(fun m ->
+        match m.Types.payload with
+        | Gx_voted { rid = r; j = j'; k = k'; _ } ->
+            r = rid && j' = j && k' = k
+        | _ -> false)
+  with
+  | Some (Gx_voted { ok; values; _ }) -> (ok, values)
+  | _ -> abort_vote
 
 (* Decide the global outcome at shard [k]'s databases, resending until any
    server of the group acknowledges (the Decide round is idempotent). *)
-let gx_complete_rpc ctx (cc : cross_cfg) ~rid ~j ~k ~outcome =
-  let peers = cc.peers k in
-  let filter m =
-    match m.Types.payload with
-    | Gx_completed { rid = r; j = j'; k = k' } -> r = rid && j' = j && k' = k
-    | _ -> false
-  in
-  let rec loop i =
-    Rchannel.send ctx.ch
-      (List.nth peers (i mod List.length peers))
-      (Gx_complete { rid; j; k; outcome });
-    match
-      Rt.recv ~timeout:ctx.cfg.clean_period ~cls:cls_gx_reply ~filter ()
-    with
-    | Some _ -> ()
-    | None -> loop (i + 1)
-  in
-  if peers <> [] then loop 0
+let gx_complete_rpc ctx cc ~rid ~j ~k ~outcome =
+  ignore
+    (gx_rpc ctx cc ~k
+       ~make:(fun () -> Gx_complete { rid; j; k; outcome })
+       ~filter:(fun m ->
+         match m.Types.payload with
+         | Gx_completed { rid = r; j = j'; k = k' } ->
+             r = rid && j' = j && k' = k
+         | _ -> false))
 
 (* The coordinator's own branch: elect the executor through the gx_exec
    register like any participant would, run it on a win, and read the vote
    register out. Losing the election means a takeover already claimed the
    branch — wait the register out, contesting only if the claimant dies. *)
 let local_branch_vote ctx ~rid ~j ~k ~ops =
-  let name = Reg_name.gx_vote ~rid ~j ~k in
-  let decided = function
-    | Gx_vote_value { ok; values } -> (ok, values)
-    | _ -> (false, [])
-  in
-  match ctx.regs.reg_read ~name ~j:0 with
-  | Some v -> decided v
+  match read_vote ctx ~rid ~j ~k with
+  | Some v -> v
   | None -> (
-      match
-        ctx.regs.reg_write
-          ~name:(Reg_name.gx_exec ~rid ~j ~k)
-          ~j:0 (Reg_a_value ctx.self)
-      with
+      match claim_branch ctx ~rid ~j ~k with
       | Reg_a_value w when w = ctx.self ->
-          let ok, values = run_branch ctx ~rid ~j ~ops in
-          decided (ctx.regs.reg_write ~name ~j:0 (Gx_vote_value { ok; values }))
+          write_vote ctx ~rid ~j ~k (run_branch ctx ~rid ~j ~ops)
       | Reg_a_value w ->
           let rec wait () =
-            match ctx.regs.reg_read ~name ~j:0 with
-            | Some v -> decided v
+            match read_vote ctx ~rid ~j ~k with
+            | Some v -> v
             | None ->
                 if Fdetect.suspects ctx.fd w then
-                  decided
-                    (ctx.regs.reg_write ~name ~j:0
-                       (Gx_vote_value { ok = false; values = [] }))
+                  write_vote ctx ~rid ~j ~k abort_vote
                 else begin
                   Rt.sleep ctx.cfg.poll;
                   wait ()
                 end
           in
           wait ()
-      | _ -> (false, []))
+      | _ -> abort_vote)
 
 (* Deliver a cross-shard decision on a server whose own group was not a
    participant: everything [terminate] does except the local Decide round
@@ -869,15 +835,7 @@ let local_branch_vote ctx ~rid ~j ~k ~ops =
    record a spurious outcome for the xid). *)
 let deliver_no_local ctx st ~rid ~j (final : decision) =
   send_result ctx st ~rid ~j final;
-  (match st.last with
-  | Some (j', _) when j' >= j -> ()
-  | Some _ | None -> st.last <- Some (j, final));
-  st.terminated_at <- Some (Rt.now ());
-  match ctx.sink with
-  | None -> ()
-  | Some s ->
-      s.Rt.obs_count "server.terminated" 1;
-      if final.outcome = Dbms.Rm.Commit then s.Rt.obs_count "server.committed" 1
+  record_terminated ctx st ~j final
 
 (* Drive a Paxos-Commit instance to its outcome and completion: collect
    every participant's vote register concurrently ([vote_for] says how —
@@ -891,35 +849,27 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
   let cross = Option.get ctx.cfg.business.Business.cross in
   let entries = cross.Business.plan ~attempt:j ~body in
   let branches = branches_of_plan cc entries in
-  let n = List.length branches in
-  let votes = Array.make n None in
-  List.iteri
-    (fun i (k, bentries) ->
-      let ops = List.concat_map snd bentries in
-      Rt.fork "gx-vote" (fun () -> votes.(i) <- Some (vote_for ~k ~ops)))
-    branches;
-  while Array.exists Option.is_none votes do
-    Rt.sleep 1.
-  done;
-  let votes = Array.to_list votes |> List.map Option.get in
+  let votes =
+    fork_all "gx-vote"
+      (fun (k, bentries) -> vote_for ~k ~ops:(List.concat_map snd bentries))
+      branches
+  in
   let outcome =
     if List.for_all (fun (ok, _) -> ok) votes then Dbms.Rm.Commit
     else Dbms.Rm.Abort
   in
-  (match ctx.sink with
-  | None -> ()
-  | Some s ->
-      List.iter
-        (fun (ok, _) ->
-          s.Rt.obs_count (if ok then "gx.vote.yes" else "gx.vote.no") 1)
-        votes;
-      s.Rt.obs_count
-        (match outcome with
-        | Dbms.Rm.Commit -> "gx.commit"
-        | Dbms.Rm.Abort -> "gx.abort")
-        1;
-      if outcome = Dbms.Rm.Commit then
-        s.Rt.obs_observe "commit.participants" (float_of_int n));
+  List.iter
+    (fun (ok, _) ->
+      ctx.obs.count (if ok then "gx.vote.yes" else "gx.vote.no") 1)
+    votes;
+  ctx.obs.count
+    (match outcome with
+    | Dbms.Rm.Commit -> "gx.commit"
+    | Dbms.Rm.Abort -> "gx.abort")
+    1;
+  if outcome = Dbms.Rm.Commit then
+    ctx.obs.observe "commit.participants"
+      (float_of_int (List.length branches));
   let result =
     match outcome with
     | Dbms.Rm.Abort -> None
@@ -938,17 +888,11 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
         Some r
   in
   let final = { result; outcome } in
-  let remote = List.filter (fun (k, _) -> k <> ctx.cfg.group) branches in
-  let dones = Array.make (List.length remote) false in
-  List.iteri
-    (fun i (k, _) ->
-      Rt.fork "gx-finish" (fun () ->
-          gx_complete_rpc ctx cc ~rid ~j ~k ~outcome;
-          dones.(i) <- true))
-    remote;
-  while Array.exists not dones do
-    Rt.sleep 1.
-  done;
+  let (_ : unit list) =
+    fork_all "gx-finish"
+      (fun (k, _) -> gx_complete_rpc ctx cc ~rid ~j ~k ~outcome)
+      (List.filter (fun (k, _) -> k <> ctx.cfg.group) branches)
+  in
   if List.mem_assoc ctx.cfg.group branches then
     terminate ctx st ~parent ~rid ~j final
   else deliver_no_local ctx st ~rid ~j final;
@@ -960,31 +904,15 @@ let drive_cross ctx st ~rid ~j ~body ~parent ~vote_for =
    recompute the plan and finish the instance without the crashed owner. *)
 let compute_try_cross ctx st ~(request : request) ~j ~shards =
   let rid = request.rid in
-  let tspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "try" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        s.Rt.obs_span_attr id "cross" "true";
-        id
-  in
-  let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:tspan ~trace:rid "election" (fun () ->
-            ctx.regs.reg_write
-              ~name:(reg_a_name ~group:ctx.cfg.group rid)
-              ~j
-              (Gx_elect
-                 { owner = ctx.self; participants = shards; body = request.body })))
+  let tspan, winner =
+    elect_try ctx st ~rid ~j ~attrs:[ ("cross", "true") ]
+      (Gx_elect
+         { owner = ctx.self; participants = shards; body = request.body })
   in
   match winner with
   | Gx_elect { owner; _ } when owner = ctx.self ->
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_count "txn.cross_shard" 1;
-          s.Rt.obs_count "gx.open" 1);
+      ctx.obs.count "txn.cross_shard" 1;
+      ctx.obs.count "gx.open" 1;
       let (_ : decision) =
         drive_cross ctx st ~rid ~j ~body:request.body ~parent:tspan
           ~vote_for:(fun ~k ~ops ->
@@ -995,118 +923,56 @@ let compute_try_cross ctx st ~(request : request) ~j ~shards =
                 ~rid ~j ~k
                 ~make:(fun () -> Gx_branch { rid; j; k; ops }))
       in
-      (match ctx.sink with
-      | None -> ()
-      | Some s -> s.Rt.obs_span_close tspan)
-  | Gx_elect _ | Reg_a_value _ ->
-      (* lost the election: the winner (or the cleaning thread of a correct
-         server) drives this try; the client's retransmission makes
-         progress observable *)
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_span_attr tspan "lost_election" "true";
-          s.Rt.obs_span_close tspan)
+      ctx.obs.close_span tspan
+  | Gx_elect _ | Reg_a_value _ -> lost_election ctx tspan
   | _ -> ()
 
 (* Participant-side branch execution, triggered by a (re)sent [Gx_branch].
-   The quick checks run synchronously — the running-mark check-and-set must
-   not be separated from the fork by a suspension point, or two resends
-   could both elect — and the blocking work runs in its own fiber so one
-   slow branch never heads-of-line-blocks the gx mailbox. *)
+   The quick checks run synchronously and the blocking work runs in its own
+   fiber, so one slow branch never heads-of-line-blocks the gx mailbox. *)
 let gx_branch_handle ctx ~src ~rid ~j ~k ~ops =
-  let name = Reg_name.gx_vote ~rid ~j ~k in
   let reply (ok, values) =
     Rchannel.send ctx.ch src (Gx_voted { rid; j; k; ok; values })
   in
-  match ctx.regs.reg_read ~name ~j:0 with
-  | Some (Gx_vote_value { ok; values }) -> reply (ok, values)
-  | Some _ -> ()
+  match read_vote ctx ~rid ~j ~k with
+  | Some v -> reply v
   | None ->
-      if not (Hashtbl.mem ctx.gx_running (rid, j, k)) then begin
-        Hashtbl.replace ctx.gx_running (rid, j, k) ();
-        Rt.fork "gx-branch" (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Hashtbl.remove ctx.gx_running (rid, j, k))
-              (fun () ->
-                match
-                  ctx.regs.reg_write
-                    ~name:(Reg_name.gx_exec ~rid ~j ~k)
-                    ~j:0 (Reg_a_value ctx.self)
-                with
-                | Reg_a_value w when w = ctx.self ->
-                    let ok, values = run_branch ctx ~rid ~j ~ops in
-                    (match
-                       ctx.regs.reg_write ~name ~j:0
-                         (Gx_vote_value { ok; values })
-                     with
-                    | Gx_vote_value { ok; values } -> reply (ok, values)
-                    | _ -> ())
-                | Reg_a_value w -> (
-                    (* another server of this group executes the branch *)
-                    match ctx.regs.reg_read ~name ~j:0 with
-                    | Some (Gx_vote_value { ok; values }) -> reply (ok, values)
-                    | Some _ -> ()
-                    | None ->
-                        if Fdetect.suspects ctx.fd w then (
-                          match
-                            ctx.regs.reg_write ~name ~j:0
-                              (Gx_vote_value { ok = false; values = [] })
-                          with
-                          | Gx_vote_value { ok; values } -> reply (ok, values)
-                          | _ -> ())
-                        (* else: the elected executor is alive and will
-                           decide the register; stay silent — the driver's
-                           resend retries *))
-                | _ -> ()))
-      end
+      fork_marked ctx (rid, j, k) "gx-branch" (fun () ->
+          match claim_branch ctx ~rid ~j ~k with
+          | Reg_a_value w when w = ctx.self ->
+              reply (write_vote ctx ~rid ~j ~k (run_branch ctx ~rid ~j ~ops))
+          | Reg_a_value w -> (
+              (* another server of this group executes the branch *)
+              match read_vote ctx ~rid ~j ~k with
+              | Some v -> reply v
+              | None ->
+                  (* a live executor decides the register itself; stay
+                     silent — the driver's resend retries *)
+                  if Fdetect.suspects ctx.fd w then
+                    reply (write_vote ctx ~rid ~j ~k abort_vote))
+          | _ -> ())
 
 (* Serve the cross-shard RPC surface of this group: branch execution,
    takeover contests, and completion. Forked only on cross-enabled
    deployments — without it the gx classes go unread (and cross-less
    deployments never receive these messages at all). *)
 let gx_thread ctx () =
-  let rec loop () =
-    (match Rt.recv_cls cls_gx with
-    | None -> ()
-    | Some m -> (
-        match m.payload with
-        | Gx_branch { rid; j; k; ops } when k = ctx.cfg.group ->
-            gx_branch_handle ctx ~src:m.src ~rid ~j ~k ~ops
-        | Gx_resolve { rid; j; k } when k = ctx.cfg.group ->
-            let src = m.src in
-            Rt.fork "gx-resolve" (fun () ->
-                match
-                  ctx.regs.reg_write
-                    ~name:(Reg_name.gx_vote ~rid ~j ~k)
-                    ~j:0
-                    (Gx_vote_value { ok = false; values = [] })
-                with
-                | Gx_vote_value { ok; values } ->
-                    Rchannel.send ctx.ch src (Gx_voted { rid; j; k; ok; values })
-                | _ -> ())
-        | Gx_complete { rid; j; k; outcome } when k = ctx.cfg.group ->
-            let src = m.src in
-            Rt.fork "gx-complete" (fun () ->
-                let xid = Dbms.Xid.make ~rid ~j in
-                let (_ : (Types.proc_id * unit) list) =
-                  Dbms.Stub.broadcast_collect ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                    ~dbs:ctx.cfg.dbs
-                    ~request:(fun _ -> Dbms.Msg.Decide { xid; outcome })
-                    ~matches:(function
-                      | Dbms.Msg.Ack_decide { xid = x }
-                        when Dbms.Xid.equal x xid ->
-                          Some ()
-                      | _ -> None)
-                in
-                (match ctx.sink with
-                | None -> ()
-                | Some s -> s.Rt.obs_count "gx.complete" 1);
-                Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
-        | _ -> () (* stamped for another shard: the driver's rotation moves on *)));
-    loop ()
-  in
-  loop ()
+  serve cls_gx (fun m ->
+      match m.payload with
+      | Gx_branch { rid; j; k; ops } when k = ctx.cfg.group ->
+          gx_branch_handle ctx ~src:m.src ~rid ~j ~k ~ops
+      | Gx_resolve { rid; j; k } when k = ctx.cfg.group ->
+          let src = m.src in
+          Rt.fork "gx-resolve" (fun () ->
+              let ok, values = write_vote ctx ~rid ~j ~k abort_vote in
+              Rchannel.send ctx.ch src (Gx_voted { rid; j; k; ok; values }))
+      | Gx_complete { rid; j; k; outcome } when k = ctx.cfg.group ->
+          let src = m.src in
+          Rt.fork "gx-complete" (fun () ->
+              decide ctx ~xid:(Dbms.Xid.make ~rid ~j) outcome;
+              ctx.obs.count "gx.complete" 1;
+              Rchannel.send ctx.ch src (Gx_completed { rid; j; k }))
+      | _ -> () (* stamped for another shard: the driver's rotation moves on *))
 
 (* ---------------- Elastic reconfiguration (DESIGN.md §16) ----------------
 
@@ -1119,11 +985,7 @@ let gx_thread ctx () =
    names a suspected owner. *)
 
 let rc_epoch_gauge ctx rc =
-  match ctx.sink with
-  | None -> ()
-  | Some s ->
-      s.Rt.obs_gauge "reconfig.epoch"
-        (float_of_int (Shard_map.epoch rc.rc_map))
+  ctx.obs.gauge "reconfig.epoch" (float_of_int (Shard_map.epoch rc.rc_map))
 
 let rc_adopt ctx rc map =
   if Shard_map.epoch map > Shard_map.epoch rc.rc_map then begin
@@ -1161,7 +1023,7 @@ let rc_decisions ctx =
     (fun key ->
       match Reg_name.parse_reg_d key with
       | Some (g, rid, j) when g = ctx.cfg.group -> (
-          match ctx.regs.reg_read ~name:(reg_d_name ~group:g rid) ~j with
+          match ctx.regs.reg_read ~name:(Reg_name.reg_d ~group:g ~rid) ~j with
           | Some (Reg_d_value d) -> add rid j d
           | _ -> ())
       | _ -> ())
@@ -1173,16 +1035,15 @@ let rc_decisions ctx =
 (* Pre-seed a destination server with the source group's terminated tries:
    a cross-flip retransmission of (rid, j) then replays the recorded
    decision instead of re-executing an already-committed transaction.
-   Never regresses a newer local termination. *)
+   Never regresses (nor re-stamps) a newer local termination, and counts
+   nothing: these tries terminated elsewhere. *)
 let rc_install ctx items =
   List.iter
     (fun (rid, j, result, outcome) ->
       let st = rid_state ctx rid in
       match st.last with
       | Some (j', _) when j' >= j -> ()
-      | _ ->
-          st.last <- Some (j, { result; outcome });
-          st.terminated_at <- Some (Rt.now ()))
+      | _ -> record_terminated ~count:false ctx st ~j { result; outcome })
     items
 
 let rc_caps ctx (rcc : reconfig_cfg) =
@@ -1212,42 +1073,36 @@ let rc_drive ctx rc rcc ~target =
   end
 
 let cfg_thread ctx rc (rcc : reconfig_cfg) () =
-  let rec loop () =
-    (match Rt.recv_cls Reconfig.Rmsg.cls_cfg with
-    | None -> ()
-    | Some m -> (
-        match m.payload with
-        | Reconfig.Rmsg.Cfg_query _ ->
-            (* always answer with the current map: the asker filters by
-               epoch, and an unconditional reply lets the operator poll
-               for completion with the same message *)
-            Rchannel.send ctx.ch m.src
-              (Reconfig.Rmsg.Cfg_current { map = rc.rc_map })
-        | Reconfig.Rmsg.Cfg_announce { map } -> rc_adopt ctx rc map
-        | Reconfig.Rmsg.Mig_start { target } ->
-            (* only the config group hosts drivers: the cfg:/mig:
-               registers live in its consensus namespace *)
-            if ctx.cfg.group = rcc.cfg_group then rc_drive ctx rc rcc ~target
-        | Reconfig.Rmsg.Mig_seal { target } ->
-            let e = Shard_map.epoch target in
-            if
-              e > Shard_map.epoch rc.rc_map
-              && (match rc.sealing with
-                 | Some t -> Shard_map.epoch t < e
-                 | None -> true)
-            then rc.sealing <- Some target;
-            Rchannel.send ctx.ch m.src
-              (Reconfig.Rmsg.Mig_sealed { epoch = e; from = ctx.cfg.group })
-        | Reconfig.Rmsg.Mig_decisions_req { epoch } ->
-            Rchannel.send ctx.ch m.src
-              (Reconfig.Rmsg.Mig_decisions { epoch; items = rc_decisions ctx })
-        | Reconfig.Rmsg.Mig_install { epoch; items } ->
-            rc_install ctx items;
-            Rchannel.send ctx.ch m.src (Reconfig.Rmsg.Mig_installed { epoch })
-        | _ -> ()));
-    loop ()
-  in
-  loop ()
+  serve Reconfig.Rmsg.cls_cfg (fun m ->
+      match m.payload with
+      | Reconfig.Rmsg.Cfg_query _ ->
+          (* always answer with the current map: the asker filters by
+             epoch, and an unconditional reply lets the operator poll
+             for completion with the same message *)
+          Rchannel.send ctx.ch m.src
+            (Reconfig.Rmsg.Cfg_current { map = rc.rc_map })
+      | Reconfig.Rmsg.Cfg_announce { map } -> rc_adopt ctx rc map
+      | Reconfig.Rmsg.Mig_start { target } ->
+          (* only the config group hosts drivers: the cfg:/mig:
+             registers live in its consensus namespace *)
+          if ctx.cfg.group = rcc.cfg_group then rc_drive ctx rc rcc ~target
+      | Reconfig.Rmsg.Mig_seal { target } ->
+          let e = Shard_map.epoch target in
+          if
+            e > Shard_map.epoch rc.rc_map
+            && (match rc.sealing with
+               | Some t -> Shard_map.epoch t < e
+               | None -> true)
+          then rc.sealing <- Some target;
+          Rchannel.send ctx.ch m.src
+            (Reconfig.Rmsg.Mig_sealed { epoch = e; from = ctx.cfg.group })
+      | Reconfig.Rmsg.Mig_decisions_req { epoch } ->
+          Rchannel.send ctx.ch m.src
+            (Reconfig.Rmsg.Mig_decisions { epoch; items = rc_decisions ctx })
+      | Reconfig.Rmsg.Mig_install { epoch; items } ->
+          rc_install ctx items;
+          Rchannel.send ctx.ch m.src (Reconfig.Rmsg.Mig_installed { epoch })
+      | _ -> ())
 
 (* Config-group takeover monitor: a migration must complete even if every
    server that was driving it crashed. The decided [mig:e<n+1>] intent is
@@ -1256,25 +1111,23 @@ let cfg_thread ctx rc (rcc : reconfig_cfg) () =
    idempotent pipeline. Also adopts (and re-announces) a flip this server
    somehow missed. *)
 let rc_monitor ctx rc rcc () =
-  let rec loop () =
-    Rt.sleep ctx.cfg.clean_period;
-    let caps = rc_caps ctx rcc in
-    let e = Shard_map.epoch rc.rc_map + 1 in
-    (match caps.Reconfig.Driver.peek ~key:(Reconfig.Rmsg.cfg_key ~epoch:e) with
-    | Some (Reconfig.Rmsg.Cfg_value map) ->
-        rc_adopt ctx rc map;
-        Reconfig.Driver.announce caps ~target:map
-    | _ -> (
-        match
-          caps.Reconfig.Driver.peek ~key:(Reconfig.Rmsg.mig_key ~epoch:e)
-        with
-        | Some (Reconfig.Rmsg.Mig_intent { owner; target })
-          when owner <> ctx.self && Fdetect.suspects ctx.fd owner ->
-            rc_drive ctx rc rcc ~target
-        | _ -> ()));
-    loop ()
-  in
-  loop ()
+  every ctx.cfg.clean_period (fun () ->
+      let caps = rc_caps ctx rcc in
+      let e = Shard_map.epoch rc.rc_map + 1 in
+      (match
+         caps.Reconfig.Driver.peek ~key:(Reconfig.Rmsg.cfg_key ~epoch:e)
+       with
+      | Some (Reconfig.Rmsg.Cfg_value map) ->
+          rc_adopt ctx rc map;
+          Reconfig.Driver.announce caps ~target:map
+      | _ -> (
+          match
+            caps.Reconfig.Driver.peek ~key:(Reconfig.Rmsg.mig_key ~epoch:e)
+          with
+          | Some (Reconfig.Rmsg.Mig_intent { owner; target })
+            when owner <> ctx.self && Fdetect.suspects ctx.fd owner ->
+              rc_drive ctx rc rcc ~target
+          | _ -> ())))
 
 (* Map anti-entropy for servers outside the config group. They cannot
    peek the cfg:/mig: registers (those live in the config group's
@@ -1288,99 +1141,124 @@ let rc_monitor ctx rc rcc () =
    lazy — bounces keep answering meanwhile and the serving path never
    waits on this fiber. *)
 let rc_refresh ctx rc (rcc : reconfig_cfg) () =
-  let rec loop () =
-    Rt.sleep (25. *. ctx.cfg.clean_period);
-    let have = Shard_map.epoch rc.rc_map in
-    Rchannel.broadcast ctx.ch
-      (rcc.rc_servers_of rcc.cfg_group)
-      (Reconfig.Rmsg.Cfg_query { have });
-    let deadline = Rt.now () +. ctx.cfg.poll in
-    let rec drain () =
-      if Rt.now () < deadline then begin
-        (match
-           Rt.recv
-             ~timeout:(deadline -. Rt.now ())
-             ~cls:Reconfig.Rmsg.cls_cfg_reply
-             ~filter:(fun m ->
-               match m.Types.payload with
-               | Reconfig.Rmsg.Cfg_current _ -> true
-               | _ -> false)
-             ()
-         with
-        | Some { Types.payload = Reconfig.Rmsg.Cfg_current { map }; _ } ->
-            rc_adopt ctx rc map
-        | Some _ | None -> ());
-        drain ()
+  every (25. *. ctx.cfg.clean_period) (fun () ->
+      let have = Shard_map.epoch rc.rc_map in
+      Rchannel.broadcast ctx.ch
+        (rcc.rc_servers_of rcc.cfg_group)
+        (Reconfig.Rmsg.Cfg_query { have });
+      let deadline = Rt.now () +. ctx.cfg.poll in
+      let rec drain () =
+        if Rt.now () < deadline then begin
+          (match
+             Rt.recv
+               ~timeout:(deadline -. Rt.now ())
+               ~cls:Reconfig.Rmsg.cls_cfg_reply
+               ~filter:(fun m ->
+                 match m.Types.payload with
+                 | Reconfig.Rmsg.Cfg_current _ -> true
+                 | _ -> false)
+               ()
+           with
+          | Some { Types.payload = Reconfig.Rmsg.Cfg_current { map }; _ } ->
+              rc_adopt ctx rc map
+          | Some _ | None -> ());
+          drain ()
+        end
+      in
+      drain ())
+
+(* What the intake leaves its caller to do with a request. *)
+type intake =
+  | Handled
+      (** nothing: it was bounced, served from the cache or a replica,
+          replayed from a terminated try, dropped as stale, or was no
+          request at all *)
+  | Cross of request * int * rid_state * int list
+      (** try j spans these participant shards (DESIGN.md §15) *)
+  | Single of request * int * rid_state  (** a fresh try of this group *)
+
+(* The one request intake of both pipelines (Fig. 5's wait for
+   [Request, request, j]): misroute nack → reconfig bounce → cache →
+   replica → replay of a terminated or committed try → cross or single
+   dispatch. The classic computation thread runs what is left inline; the
+   batched path queues [Single] into its windows and forks [Cross]. *)
+let intake ctx (m : Types.message) =
+  match m.payload with
+  | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
+      (* misrouted: addressed to another replica group; executing it here
+         would commit the request on the wrong shard. Bounce it explicitly
+         so the client re-fans out immediately instead of waiting out its
+         resend timer *)
+      ctx.obs.count "server.misrouted" 1;
+      Rt.note (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
+      send_nack ctx ~rid:request.rid ~j ~client:m.src;
+      Handled
+  | Request_msg { request; j; span; _ } ->
+      if
+        rc_bounced ctx ~request ~j ~client:m.src
+        || serve_cached ctx ~request ~j ~client:m.src
+        || serve_replica ctx ~request ~j ~client:m.src
+      then Handled
+      else begin
+        let st = rid_state ctx request.rid in
+        if st.client = None then st.client <- Some m.src;
+        if st.rspan = 0 then st.rspan <- span;
+        if j > st.seen then st.seen <- j;
+        match st.last with
+        | Some (j', _) when j' > j -> Handled
+        | Some (j', d) when j' = j || d.outcome = Dbms.Rm.Commit ->
+            (* a retransmission of an already-terminated try replays its
+               decision. So does any later try of a committed request —
+               commit is final, never re-executed. Later tries of a
+               committed request only reach a server through migration:
+               the client re-routed a try whose commit-result message was
+               lost, restarting it under a fresh j at this destination, and
+               the decision transfer seeded [st.last] with the source
+               commit. *)
+            send_result ctx st ~rid:request.rid ~j d;
+            Handled
+        | Some _ | None -> (
+            match cross_shards ctx ~body:request.body with
+            | Some shards -> Cross (request, j, st, shards)
+            | None -> Single (request, j, st))
       end
-    in
-    drain ();
-    loop ()
-  in
-  loop ()
+  | _ -> Handled
 
 let compute_thread ctx () =
-  let rec loop () =
-    (match Rt.recv_cls cls_request with
-    | None -> ()
-    | Some m -> (
-        match m.payload with
-        | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
-            (* misrouted: addressed to another replica group; executing it
-               here would commit the request on the wrong shard. Bounce it
-               explicitly so the client re-fans out immediately instead of
-               waiting out its resend timer *)
-            (match ctx.sink with
-            | None -> ()
-            | Some s -> s.Rt.obs_count "server.misrouted" 1);
-            Rt.note
-              (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
-            send_nack ctx ~rid:request.rid ~j ~client:m.src
-        | Request_msg { request; j; _ }
-          when rc_bounced ctx ~request ~j ~client:m.src ->
-            ()
-        | Request_msg { request; j; span; _ } ->
-            if
-              (not (serve_cached ctx ~request ~j ~client:m.src))
-              && not (serve_replica ctx ~request ~j ~client:m.src)
-            then begin
-              let st = rid_state ctx request.rid in
-              if st.client = None then st.client <- Some m.src;
-              if st.rspan = 0 then st.rspan <- span;
-              if j > st.seen then st.seen <- j;
-              match st.last with
-              | Some (j', d) when j' = j ->
-                  (* retransmission of an already-terminated try *)
-                  send_result ctx st ~rid:request.rid ~j d
-              | Some (j', _) when j' > j -> ()
-              | Some (_, d) when d.outcome = Dbms.Rm.Commit ->
-                  (* a committed request is terminated forever: any later
-                     try must replay its result, never re-execute. Later
-                     tries of a committed request only reach a server
-                     through migration — the client re-routed a try whose
-                     commit-result message was lost, restarting it under a
-                     fresh j at this destination — and the decision
-                     transfer seeded [st.last] with the source commit. *)
-                  send_result ctx st ~rid:request.rid ~j d
-              | Some _ | None -> (
-                  match cross_shards ctx ~body:request.body with
-                  | Some shards -> compute_try_cross ctx st ~request ~j ~shards
-                  | None -> compute_try ctx st ~request ~j)
-            end
-        | _ -> ()));
-    loop ()
-  in
-  loop ()
+  serve cls_request (fun m ->
+      match intake ctx m with
+      | Cross (request, j, st, shards) ->
+          compute_try_cross ctx st ~request ~j ~shards
+      | Single (request, j, st) -> compute_try ctx st ~request ~j
+      | Handled -> ())
 
 (* ---------------- Fig. 6: the cleaning thread ---------------- *)
-
-let parse_reg_a_rid key = Option.map snd (Reg_name.parse_reg_a key)
 
 let known_rids ctx =
   let from_requests = Hashtbl.fold (fun rid _ acc -> rid :: acc) ctx.rids [] in
   let from_registers =
-    List.filter_map parse_reg_a_rid (ctx.regs.reg_decided_keys ())
+    List.filter_map
+      (fun key -> Option.map snd (Reg_name.parse_reg_a key))
+      (ctx.regs.reg_decided_keys ())
   in
   List.sort_uniq compare (from_requests @ from_registers)
+
+(* The cleaner's record of one taken-over try: the spec's [cleaned] note,
+   and whether the takeover imposed an abort or finished delivering a
+   decided commit. *)
+let note_cleaned ctx ~rid ~j outcome =
+  let aborted = outcome = Dbms.Rm.Abort in
+  Rt.note
+    (Printf.sprintf "cleaned:%d:%d:%s" rid j
+       (if aborted then "abort" else "commit"));
+  ctx.obs.count (if aborted then "cleaner.aborts" else "cleaner.finishes") 1
+
+(* One "clean" span per taken-over try; [rspan] is known when this server
+   saw the client's broadcast, else the span roots itself. *)
+let open_clean ctx st ~suspect ~rid ~j ~attrs =
+  ctx.obs.open_span ~parent:st.rspan ~trace:rid "clean"
+    ((("j", string_of_int j) :: attrs)
+    @ [ ("suspect", ctx.cfg.rt.name_of suspect) ])
 
 (* Take over a cross-shard try whose coordinator is suspected: contest
    every participant's vote register with an abort vote (any undecided
@@ -1389,56 +1267,25 @@ let known_rids ctx =
    delivering. [drive_cross] re-derives the plan from the [Gx_elect]'s body
    — the reason the election record carries it. *)
 let clean_cross ctx st ~suspect ~rid ~j ~body =
-  let cspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "clean" in
-        s.Rt.obs_span_attr id "j" (string_of_int j);
-        s.Rt.obs_span_attr id "cross" "true";
-        s.Rt.obs_span_attr id "suspect" (ctx.cfg.rt.name_of suspect);
-        id
-  in
-  (match ctx.sink with
-  | None -> ()
-  | Some s -> s.Rt.obs_count "gx.takeover" 1);
+  let cspan = open_clean ctx st ~suspect ~rid ~j ~attrs:[ ("cross", "true") ] in
+  ctx.obs.count "gx.takeover" 1;
   let cc = Option.get ctx.cfg.cross in
   let final =
     drive_cross ctx st ~rid ~j ~body ~parent:cspan ~vote_for:(fun ~k ~ops:_ ->
-        if k = ctx.cfg.group then
-          match
-            ctx.regs.reg_write
-              ~name:(Reg_name.gx_vote ~rid ~j ~k)
-              ~j:0
-              (Gx_vote_value { ok = false; values = [] })
-          with
-          | Gx_vote_value { ok; values } -> (ok, values)
-          | _ -> (false, [])
+        if k = ctx.cfg.group then write_vote ctx ~rid ~j ~k abort_vote
         else
           gx_vote_rpc ctx cc ~rid ~j ~k ~make:(fun () ->
               Gx_resolve { rid; j; k }))
   in
-  Rt.note
-    (Printf.sprintf "cleaned:%d:%d:%s" rid j
-       (match final.outcome with
-       | Dbms.Rm.Commit -> "commit"
-       | Dbms.Rm.Abort -> "abort"));
-  (match ctx.sink with
-  | None -> ()
-  | Some s ->
-      s.Rt.obs_count
-        (match final.outcome with
-        | Dbms.Rm.Abort -> "cleaner.aborts"
-        | Dbms.Rm.Commit -> "cleaner.finishes")
-        1;
-      s.Rt.obs_span_close cspan);
+  note_cleaned ctx ~rid ~j final.outcome;
+  ctx.obs.close_span cspan;
   st.cleaned <- j :: st.cleaned
 
 let clean_request ctx ~suspect ~rid =
   let st = rid_state ctx rid in
   let group = ctx.cfg.group in
   let rec scan j =
-    match ctx.regs.reg_read ~name:(reg_a_name ~group rid) ~j with
+    match ctx.regs.reg_read ~name:(Reg_name.reg_a ~group ~rid) ~j with
     | None ->
         (* ⊥ normally means no further tries exist (they start in order)
            — but after a migration the group's regA array can have holes:
@@ -1454,48 +1301,21 @@ let clean_request ctx ~suspect ~rid =
         if j <= floor then scan (j + 1)
     | Some (Reg_a_value winner) ->
         if winner = suspect && not (List.mem j st.cleaned) then begin
-          (* one "clean" span per taken-over try; [rspan] is known when this
-             server saw the client's broadcast, else the span roots itself *)
-          let cspan =
-            match ctx.sink with
-            | None -> 0
-            | Some s ->
-                let id =
-                  s.Rt.obs_span_open ~parent:st.rspan ~trace:rid "clean"
-                in
-                s.Rt.obs_span_attr id "j" (string_of_int j);
-                s.Rt.obs_span_attr id "suspect"
-                  (ctx.cfg.rt.name_of suspect);
-                id
-          in
+          let cspan = open_clean ctx st ~suspect ~rid ~j ~attrs:[] in
           let final =
             match
-              ctx.regs.reg_write ~name:(reg_d_name ~group rid) ~j
+              ctx.regs.reg_write ~name:(Reg_name.reg_d ~group ~rid) ~j
                 (Reg_d_value abort_decision)
             with
             | Reg_d_value d -> d
             | _ -> abort_decision
           in
-          Rt.note
-            (Printf.sprintf "cleaned:%d:%d:%s" rid j
-               (match final.outcome with
-               | Dbms.Rm.Commit -> "commit"
-               | Dbms.Rm.Abort -> "abort"));
           (* abort-or-finish: the wo-register write either imposed the abort
              or lost to the crashed winner's already-decided outcome, which
              the cleaner then finishes delivering (paper Fig. 6) *)
-          (match ctx.sink with
-          | None -> ()
-          | Some s ->
-              s.Rt.obs_count
-                (match final.outcome with
-                | Dbms.Rm.Abort -> "cleaner.aborts"
-                | Dbms.Rm.Commit -> "cleaner.finishes")
-                1);
+          note_cleaned ctx ~rid ~j final.outcome;
           terminate ctx st ~parent:cspan ~rid ~j final;
-          (match ctx.sink with
-          | None -> ()
-          | Some s -> s.Rt.obs_span_close cspan);
+          ctx.obs.close_span cspan;
           st.cleaned <- j :: st.cleaned
         end;
         scan (j + 1)
@@ -1508,17 +1328,13 @@ let clean_request ctx ~suspect ~rid =
   scan 1
 
 let clean_thread ctx () =
-  let rec loop () =
-    Rt.sleep ctx.cfg.clean_period;
-    List.iter
-      (fun ai ->
-        if ai <> ctx.self && Fdetect.suspects ctx.fd ai then
-          List.iter (fun rid -> clean_request ctx ~suspect:ai ~rid)
-            (known_rids ctx))
-      ctx.cfg.servers;
-    loop ()
-  in
-  loop ()
+  every ctx.cfg.clean_period (fun () ->
+      List.iter
+        (fun ai ->
+          if ai <> ctx.self && Fdetect.suspects ctx.fd ai then
+            List.iter (fun rid -> clean_request ctx ~suspect:ai ~rid)
+              (known_rids ctx))
+        ctx.cfg.servers)
 
 (* ---------------- §5 extension: register garbage collection ----------- *)
 
@@ -1532,27 +1348,23 @@ let clean_thread ctx () =
    (cleaning) latency so no live protocol activity references a collected
    register. *)
 let gc_thread ctx ~after () =
-  let rec loop () =
-    Rt.sleep (Float.max 1. (after /. 2.));
-    let now = Rt.now () in
-    let expired =
-      Hashtbl.fold
-        (fun rid st acc ->
-          match st.terminated_at with
-          | Some t when now -. t > after -> rid :: acc
-          | Some _ | None -> acc)
-        ctx.rids []
-    in
-    List.iter (fun rid -> Hashtbl.remove ctx.rids rid) expired;
-    let swept = ctx.regs.reg_collect ~older_than:(now -. after) in
-    if expired <> [] || swept > 0 then
-      Rt.note
-        (Printf.sprintf "gc:rids=%d:swept=%d:instances=%d"
-           (List.length expired) swept
-           (ctx.regs.reg_instances ()));
-    loop ()
-  in
-  loop ()
+  every (Float.max 1. (after /. 2.)) (fun () ->
+      let now = Rt.now () in
+      let expired =
+        Hashtbl.fold
+          (fun rid st acc ->
+            match st.terminated_at with
+            | Some t when now -. t > after -> rid :: acc
+            | Some _ | None -> acc)
+          ctx.rids []
+      in
+      List.iter (fun rid -> Hashtbl.remove ctx.rids rid) expired;
+      let swept = ctx.regs.reg_collect ~older_than:(now -. after) in
+      if expired <> [] || swept > 0 then
+        Rt.note
+          (Printf.sprintf "gc:rids=%d:swept=%d:instances=%d"
+             (List.length expired) swept
+             (ctx.regs.reg_instances ())))
 
 (* ---------------- Leases and batching (DESIGN.md §12) ---------------- *)
 
@@ -1580,6 +1392,9 @@ type lease = {
           window's prepare/consensus, at most one such tail in flight *)
 }
 
+(* A window's obs trace: its first request's. *)
+let window_trace = function (rid, _) :: _ -> rid | [] -> 0
+
 (* Terminate a whole batch: one Decide_batch per database carrying every
    (xid, outcome), then one Result_batch_msg per known client carrying its
    share of the decisions. [items] and [decisions] match positionally (the
@@ -1594,8 +1409,8 @@ type lease = {
    Decide round runs in a forked fiber off the window's critical path. A
    holder crash between the two is exactly the window the sealing
    abort-or-finish pass already closes. *)
-let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
-    () =
+let deliver_batch ctx ?(parent = 0) ?(async = false) ~items ~decisions () =
+  let trace = window_trace items in
   let pairs = List.combine items decisions in
   let xitems =
     List.map
@@ -1603,10 +1418,9 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
       pairs
   in
   let terminate () =
-    span ctx "commit" (fun () ->
-        ospan ctx ~parent ~trace "terminate" (fun () ->
-            Dbms.Stub.decide_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-              ~dbs:ctx.cfg.dbs ~items:xitems))
+    phase ctx "commit" ~parent ~trace "terminate" (fun () ->
+        Dbms.Stub.decide_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
+          ~dbs:ctx.cfg.dbs ~items:xitems)
   in
   if not async then terminate ();
   let by_client : (Types.proc_id, (int * int * decision) list) Hashtbl.t =
@@ -1615,15 +1429,7 @@ let deliver_batch ctx ?(parent = 0) ?(async = false) ~trace ~items ~decisions
   List.iter
     (fun ((rid, j), (d : decision)) ->
       let st = rid_state ctx rid in
-      (match st.last with
-      | Some (j', _) when j' >= j -> ()
-      | Some _ | None -> st.last <- Some (j, d));
-      st.terminated_at <- Some (Rt.now ());
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_count "server.terminated" 1;
-          if d.outcome = Dbms.Rm.Commit then s.Rt.obs_count "server.committed" 1);
+      record_terminated ctx st ~j d;
       match st.client with
       | None -> () (* client unknown here (crashed before broadcasting) *)
       | Some c ->
@@ -1661,23 +1467,9 @@ let seal_epoch ctx ~epoch =
           | Reg_batch_abort_all | _ -> List.map (fun _ -> abort_decision) items
         in
         List.iter2
-          (fun (rid, j) (d : decision) ->
-            Rt.note
-              (Printf.sprintf "cleaned:%d:%d:%s" rid j
-                 (match d.outcome with
-                 | Dbms.Rm.Commit -> "commit"
-                 | Dbms.Rm.Abort -> "abort"));
-            match ctx.sink with
-            | None -> ()
-            | Some s ->
-                s.Rt.obs_count
-                  (match d.outcome with
-                  | Dbms.Rm.Abort -> "cleaner.aborts"
-                  | Dbms.Rm.Commit -> "cleaner.finishes")
-                  1)
+          (fun (rid, j) (d : decision) -> note_cleaned ctx ~rid ~j d.outcome)
           items decisions;
-        let trace = match items with (rid, _) :: _ -> rid | [] -> 0 in
-        deliver_batch ctx ~trace ~items ~decisions ();
+        deliver_batch ctx ~items ~decisions ();
         scan (seq + 1)
     | _ -> scan (seq + 1)
   in
@@ -1725,11 +1517,8 @@ let lease_takeover ctx ls =
     ls.limbo <- [];
     ls.holder <- Some ctx.self;
     Rt.note (Printf.sprintf "lease-acquired:g%d:e%d" ctx.cfg.group next);
-    match ctx.sink with
-    | None -> ()
-    | Some s ->
-        s.Rt.obs_count "server.lease_acquired" 1;
-        s.Rt.obs_gauge "server.lease_epoch" (float_of_int next)
+    ctx.obs.count "server.lease_acquired" 1;
+    ctx.obs.gauge "server.lease_epoch" (float_of_int next)
   end
 
 (* The lease monitor replaces the cleaning thread on the batched path: it
@@ -1754,18 +1543,17 @@ let lease_monitor ctx ls () =
     | Some _ | None -> ()
   in
   let head = match ctx.cfg.servers with a :: _ -> a | [] -> ctx.self in
-  let rec loop first =
-    if not first then Rt.sleep ctx.cfg.clean_period;
+  let check () =
     advance ();
-    (match ls.holder with
+    match ls.holder with
     | Some h when h = ctx.self -> ()
     | Some h when Fdetect.suspects ctx.fd h -> lease_takeover ctx ls
     | None when ctx.self = head || Fdetect.suspects ctx.fd head ->
         lease_takeover ctx ls
-    | Some _ | None -> ());
-    loop false
+    | Some _ | None -> ()
   in
-  loop true
+  check ();
+  every ctx.cfg.clean_period check
 
 (* One batch through the amortized pipeline: a single batchA election, one
    XA start/end round, concurrently-executing business logic (the simulated
@@ -1777,22 +1565,19 @@ let process_batch ctx ls items =
   let epoch = ls.epoch and seq = ls.seq in
   let ids = List.map (fun ((r : request), j) -> (r.rid, j)) items in
   let n = List.length items in
-  let trace = match ids with (rid, _) :: _ -> rid | [] -> 0 in
+  let trace = window_trace ids in
   let bspan =
-    match ctx.sink with
-    | None -> 0
-    | Some s ->
-        let id = s.Rt.obs_span_open ~trace "batch" in
-        s.Rt.obs_span_attr id "size" (string_of_int n);
-        s.Rt.obs_span_attr id "epoch" (string_of_int epoch);
-        s.Rt.obs_span_attr id "seq" (string_of_int seq);
-        id
+    ctx.obs.open_span ~trace "batch"
+      [
+        ("size", string_of_int n);
+        ("epoch", string_of_int epoch);
+        ("seq", string_of_int seq);
+      ]
   in
   let winner =
-    span ctx "log-start" (fun () ->
-        ospan ctx ~parent:bspan ~trace "election" (fun () ->
-            ctx.regs.reg_write ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0
-              (Reg_batch_elect { owner = ctx.self; items = ids })))
+    phase ctx "log-start" ~parent:bspan ~trace "election" (fun () ->
+        ctx.regs.reg_write ~name:(Reg_name.batch_a ~group ~epoch ~seq) ~j:0
+          (Reg_batch_elect { owner = ctx.self; items = ids }))
   in
   match winner with
   | Reg_batch_elect { owner; items = elected } when owner = ctx.self ->
@@ -1808,44 +1593,40 @@ let process_batch ctx ls items =
         ls.seq <- seq + 1;
         if ls.holder = Some ctx.self then
           ls.pending <- items @ ls.pending;
-        match ctx.sink with
-        | None -> ()
-        | Some s ->
-            s.Rt.obs_span_attr bspan "stale-slot" "true";
-            s.Rt.obs_span_close bspan
+        ctx.obs.close_span ~attrs:[ ("stale-slot", "true") ] bspan
       end
       else begin
       ls.seq <- seq + 1;
       let gen = cache_generation ctx in
       let xids = List.map (fun (rid, j) -> Dbms.Xid.make ~rid ~j) ids in
-      let results = Array.make n None in
-      ospan ctx ~parent:bspan ~trace "compute" (fun () ->
-          span ctx "start" (fun () ->
-              Dbms.Stub.xa_start_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                ~dbs:ctx.cfg.dbs ~xids);
-          List.iteri
-            (fun i ((r : request), j) ->
-              let xid = Dbms.Xid.make ~rid:r.rid ~j in
-              Rt.fork "batch-exec" (fun () ->
+      let results =
+        ospan ctx ~parent:bspan ~trace "compute" (fun () ->
+            span ctx "start" (fun () ->
+                Dbms.Stub.xa_start_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
+                  ~dbs:ctx.cfg.dbs ~xids);
+            let results =
+              fork_all "batch-exec"
+                (fun ((r : request), j) ->
                   let result =
                     span ctx "SQL" (fun () ->
-                        run_business ctx ~xid ~attempt:j ~body:r.body)
+                        Business.run_in ~poll:ctx.cfg.poll ctx.cfg.business
+                          ctx.ch ctx.rd ~xid:(Dbms.Xid.make ~rid:r.rid ~j)
+                          ~dbs:ctx.cfg.dbs ~attempt:j ~body:r.body)
                   in
                   Rt.note (Printf.sprintf "computed:%d:%d:%s" r.rid j result);
-                  results.(i) <- Some result))
-            items;
-          while Array.exists Option.is_none results do
-            Rt.sleep 1.
-          done;
-          span ctx "end" (fun () ->
-              Dbms.Stub.xa_end_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                ~dbs:ctx.cfg.dbs ~xids));
+                  result)
+                items
+            in
+            span ctx "end" (fun () ->
+                Dbms.Stub.xa_end_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
+                  ~dbs:ctx.cfg.dbs ~xids);
+            results)
+      in
       let tail () =
         let votes =
-          span ctx "prepare" (fun () ->
-              ospan ctx ~parent:bspan ~trace "prepare" (fun () ->
-                  Dbms.Stub.prepare_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
-                    ~dbs:ctx.cfg.dbs ~xids))
+          phase ctx "prepare" ~parent:bspan ~trace "prepare" (fun () ->
+              Dbms.Stub.prepare_batch ~poll:ctx.cfg.poll ctx.ch ctx.rd
+                ~dbs:ctx.cfg.dbs ~xids)
         in
         let outcome_of xid =
           if
@@ -1861,38 +1642,29 @@ let process_batch ctx ls items =
           else Dbms.Rm.Abort
         in
         let proposal =
-          List.mapi
-            (fun i xid ->
-              {
-                result = Some (Option.get results.(i));
-                outcome = outcome_of xid;
-              })
-            xids
+          List.map2
+            (fun xid result ->
+              { result = Some result; outcome = outcome_of xid })
+            xids results
         in
         let decisions =
-          span ctx "log-outcome" (fun () ->
-              ospan ctx ~parent:bspan ~trace "consensus" (fun () ->
-                  match
-                    ctx.regs.reg_write
-                      ~name:(Reg_name.batch_d ~group ~epoch ~seq)
-                      ~j:0 (Reg_batch_decide proposal)
-                  with
-                  | Reg_batch_decide ds -> ds
-                  | Reg_batch_abort_all ->
-                      List.map (fun _ -> abort_decision) ids
-                  | _ -> proposal))
+          phase ctx "log-outcome" ~parent:bspan ~trace "consensus" (fun () ->
+              match
+                ctx.regs.reg_write
+                  ~name:(Reg_name.batch_d ~group ~epoch ~seq)
+                  ~j:0 (Reg_batch_decide proposal)
+              with
+              | Reg_batch_decide ds -> ds
+              | Reg_batch_abort_all -> List.map (fun _ -> abort_decision) ids
+              | _ -> proposal)
         in
-        deliver_batch ctx ~parent:bspan ~trace ~async:true ~items:ids
-          ~decisions ();
+        deliver_batch ctx ~parent:bspan ~async:true ~items:ids ~decisions ();
         List.iter2
           (fun ((r : request), _) d ->
             cache_after_decide ctx ~body:r.body ~gen d)
           items decisions;
-        match ctx.sink with
-        | None -> ()
-        | Some s ->
-            s.Rt.obs_observe "server.batch_size" (float_of_int n);
-            s.Rt.obs_span_close bspan
+        ctx.obs.observe "server.batch_size" (float_of_int n);
+        ctx.obs.close_span bspan
       in
       (* two-stage pipeline: prepare/consensus of this window runs in a
          forked fiber so the next window's compute can overlap it. The
@@ -1914,11 +1686,7 @@ let process_batch ctx ls items =
          holder; nothing may be delivered from a lost election. *)
       ls.holder <- None;
       ls.pending <- [];
-      (match ctx.sink with
-      | None -> ()
-      | Some s ->
-          s.Rt.obs_span_attr bspan "deposed" "true";
-          s.Rt.obs_span_close bspan)
+      ctx.obs.close_span ~attrs:[ ("deposed", "true") ] bspan
 
 (* Request intake on the batched path. Only the holder queues; followers
    answer what [st.last] already knows and otherwise DROP the request (the
@@ -1929,72 +1697,28 @@ let process_batch ctx ls items =
    bootstrap head does not silently drop the first wave of requests and
    cost every client a full back-off period; limbo is promoted only
    through a won takeover (which seals predecessors first). *)
-let batch_enqueue ctx ls (m : Types.message) =
-  match m.payload with
-  | Request_msg { request; j; group; _ } when group <> ctx.cfg.group ->
-      (match ctx.sink with
-      | None -> ()
-      | Some s -> s.Rt.obs_count "server.misrouted" 1);
-      Rt.note (Printf.sprintf "misrouted:g%d:got-g%d" ctx.cfg.group group);
-      send_nack ctx ~rid:request.rid ~j ~client:m.src
-  | Request_msg { request; j; _ } when rc_bounced ctx ~request ~j ~client:m.src
-    ->
-      ()
-  | Request_msg { request; j; span; _ } ->
-      if
-        (not (serve_cached ctx ~request ~j ~client:m.src))
-        && not (serve_replica ctx ~request ~j ~client:m.src)
-      then begin
-        let st = rid_state ctx request.rid in
-        if st.client = None then st.client <- Some m.src;
-        if st.rspan = 0 then st.rspan <- span;
-        if j > st.seen then st.seen <- j;
-        match st.last with
-        | Some (j', d) when j' = j ->
-            send_result ctx st ~rid:request.rid ~j d
-        | Some (j', _) when j' > j -> ()
-        | Some (_, d) when d.outcome = Dbms.Rm.Commit ->
-            (* commit is final — replay for any later try (see the
-               non-batched intake above for why this only arises across
-               a migration) *)
-            send_result ctx st ~rid:request.rid ~j d
-        | Some _ | None -> (
-            match cross_shards ctx ~body:request.body with
-            | Some shards ->
-                (* cross-shard requests bypass the batching windows: they
-                   commit through their own Paxos-Commit instance, not a
-                   batchD register. The running mark suppresses duplicate
-                   drives while retransmissions keep arriving *)
-                if not (Hashtbl.mem ctx.gx_running (request.rid, j, -1))
-                then begin
-                  Hashtbl.replace ctx.gx_running (request.rid, j, -1) ();
-                  Rt.fork "gx-coord" (fun () ->
-                      Fun.protect
-                        ~finally:(fun () ->
-                          Hashtbl.remove ctx.gx_running (request.rid, j, -1))
-                        (fun () ->
-                          compute_try_cross ctx st ~request ~j ~shards))
-                end
-            | None ->
-                let queued q =
-                  List.exists
-                    (fun ((r : request), j') -> r.rid = request.rid && j' = j)
-                    q
-                in
-                if ls.holder = Some ctx.self then begin
-                  if not (queued ls.pending) then
-                    ls.pending <- ls.pending @ [ (request, j) ]
-                end
-                else if ls.holder = None && not (queued ls.limbo) then
-                  ls.limbo <- ls.limbo @ [ (request, j) ])
+let batch_enqueue ctx ls m =
+  match intake ctx m with
+  | Handled -> ()
+  | Cross (request, j, st, shards) ->
+      (* cross-shard requests bypass the batching windows: they commit
+         through their own Paxos-Commit instance, not a batchD register.
+         The running mark suppresses duplicate drives while retransmissions
+         keep arriving *)
+      fork_marked ctx (request.rid, j, -1) "gx-coord" (fun () ->
+          compute_try_cross ctx st ~request ~j ~shards)
+  | Single (request, j, _) ->
+      let queued q =
+        List.exists
+          (fun ((r : request), j') -> r.rid = request.rid && j' = j)
+          q
+      in
+      if ls.holder = Some ctx.self then begin
+        if not (queued ls.pending) then
+          ls.pending <- ls.pending @ [ (request, j) ]
       end
-  | _ -> ()
-
-let rec take n = function
-  | x :: rest when n > 0 ->
-      let taken, dropped = take (n - 1) rest in
-      (x :: taken, dropped)
-  | rest -> ([], rest)
+      else if ls.holder = None && not (queued ls.limbo) then
+        ls.limbo <- ls.limbo @ [ (request, j) ]
 
 (* The batched analogue of [compute_thread]: block for one request, drain
    whatever else already arrived (timeout 0 empties the mailbox without
@@ -2038,7 +1762,7 @@ let batch_thread ctx ls () =
            drain ());
     if ls.holder = Some ctx.self && ls.pending <> [] then linger ();
     if ls.holder = Some ctx.self && ls.pending <> [] then begin
-      let batch, rest = take ctx.cfg.batch ls.pending in
+      let batch, rest = split_at ctx.cfg.batch ls.pending in
       ls.pending <- rest;
       (* the registers decide; skip anything terminated meanwhile *)
       let batch =
@@ -2102,6 +1826,17 @@ let spawn cfg =
         in
         Fdetect.start fd;
         let regs =
+          (* register j of array [name] is consensus instance "name[j]" *)
+          let key ~name ~j = Printf.sprintf "%s[%d]" name j in
+          let registers ~propose ~peek ~decided ~collect ~instances =
+            {
+              reg_write = (fun ~name ~j v -> propose ~key:(key ~name ~j) v);
+              reg_read = (fun ~name ~j -> peek ~key:(key ~name ~j));
+              reg_decided_keys = decided;
+              reg_collect = collect;
+              reg_instances = instances;
+            }
+          in
           match cfg.backend with
           | Reg_ct ->
               let agent =
@@ -2109,37 +1844,22 @@ let spawn cfg =
                   ~fd ~ch ()
               in
               Consensus.Agent.start agent;
-              let key ~name ~j = Printf.sprintf "%s[%d]" name j in
-              {
-                reg_write =
-                  (fun ~name ~j v ->
-                    Consensus.Agent.propose agent ~key:(key ~name ~j) v);
-                reg_read =
-                  (fun ~name ~j ->
-                    Consensus.Agent.peek agent ~key:(key ~name ~j));
-                reg_decided_keys =
-                  (fun () -> Consensus.Agent.decided_keys agent);
-                reg_collect =
-                  (fun ~older_than -> Consensus.Agent.collect agent ~older_than);
-                reg_instances =
-                  (fun () -> Consensus.Agent.instance_count agent);
-              }
+              registers
+                ~propose:(Consensus.Agent.propose agent)
+                ~peek:(Consensus.Agent.peek agent)
+                ~decided:(fun () -> Consensus.Agent.decided_keys agent)
+                ~collect:(fun ~older_than ->
+                  Consensus.Agent.collect agent ~older_than)
+                ~instances:(fun () -> Consensus.Agent.instance_count agent)
           | Reg_synod ->
               let synod = Consensus.Synod.create ~peers:cfg.servers ~ch () in
               Consensus.Synod.start synod;
-              let key ~name ~j = Printf.sprintf "%s[%d]" name j in
-              {
-                reg_write =
-                  (fun ~name ~j v ->
-                    Consensus.Synod.propose synod ~key:(key ~name ~j) v);
-                reg_read =
-                  (fun ~name ~j ->
-                    Consensus.Synod.peek synod ~key:(key ~name ~j));
-                reg_decided_keys =
-                  (fun () -> Consensus.Synod.decided_keys synod);
-                reg_collect = (fun ~older_than:_ -> 0);
-                reg_instances = (fun () -> 0);
-              }
+              registers
+                ~propose:(Consensus.Synod.propose synod)
+                ~peek:(Consensus.Synod.peek synod)
+                ~decided:(fun () -> Consensus.Synod.decided_keys synod)
+                ~collect:(fun ~older_than:_ -> 0)
+                ~instances:(fun () -> 0)
         in
         let rd = Dbms.Stub.Readiness.create ~dbs:cfg.dbs in
         Dbms.Stub.Readiness.start rd;
@@ -2153,6 +1873,7 @@ let spawn cfg =
               })
             cfg.reconfig
         in
+        let sink = Rt.obs () in
         let ctx =
           {
             cfg;
@@ -2165,7 +1886,8 @@ let spawn cfg =
             replica_memo = Hashtbl.create 16;
             gx_running = Hashtbl.create 16;
             rc;
-            sink = Rt.obs ();
+            sink;
+            obs = obs_of sink;
           }
         in
         (* reconfiguration fibers exist only on elastic deployments: a

@@ -118,7 +118,6 @@ type config = {
   fd_spec : fd_spec;
   clean_period : float;  (** cleaning-thread scan interval *)
   poll : float;  (** local wait re-check interval *)
-  exec_backoff : float;  (** lock-conflict retry back-off *)
   gc_after : float option;
       (** when set, a garbage-collection thread discards a request's
           register instances and protocol state this long after its last
@@ -166,10 +165,6 @@ type config = {
           the replica-less protocol. *)
   replica_bound : int;
       (** max provable staleness (LSN delta) tolerated on a replica read *)
-  replica_patience : float;
-      (** how long a replica read may wait for its reply (poll-sliced)
-          before falling back to the primary — bounds the stall a crashed
-          or overloaded replica can impose on a request *)
   cross : cross_cfg option;
       (** cross-shard commit wiring; [None] (the default) confines every
           request to this server's own group — no gx fiber is forked and
@@ -185,7 +180,6 @@ val config :
   ?fd_spec:fd_spec ->
   ?clean_period:float ->
   ?poll:float ->
-  ?exec_backoff:float ->
   ?gc_after:float ->
   ?backend:register_backend ->
   ?persist:Consensus.Agent.persistence ->
@@ -195,7 +189,6 @@ val config :
   ?cache:Method_cache.t ->
   ?replicas:(unit -> (Types.proc_id * Types.proc_id list) list) ->
   ?replica_bound:int ->
-  ?replica_patience:float ->
   ?cross:cross_cfg ->
   ?reconfig:reconfig_cfg ->
   rt:Etx_runtime.t ->
@@ -205,11 +198,14 @@ val config :
   business:Business.t ->
   unit ->
   config
-(** Defaults: oracle failure detector, 20 ms clean period, 10 ms poll,
-    40 ms exec back-off, no garbage collection, no breakdown accounting,
-    group 0, batch 1 (classic path), no cache, no replicas, replica bound
-    8, no cross-shard wiring. Raises [Invalid_argument] if [batch < 1] or
-    if [batch > 1] is combined with [gc_after]. *)
+(** Defaults: oracle failure detector, 20 ms clean period, 10 ms poll, no
+    garbage collection, no breakdown accounting, group 0, batch 1 (classic
+    path), no cache, no replicas, replica bound 8, no cross-shard wiring.
+    Fixed: 40 ms lock-conflict exec back-off ({!Dbms.Stub.exec_retry}'s
+    default); a replica read waits at most 1 s before falling back to the
+    primary. Raises [Invalid_argument] if [batch < 1], if [batch > 1] is
+    combined with [gc_after], or if the Synod backend is given
+    [persist]. *)
 
 val spawn : config -> Types.proc_id
 (** Spawns on the backend in [cfg.rt]. *)

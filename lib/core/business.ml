@@ -48,6 +48,23 @@ let make ?(read_only = fun _ -> false) ?(keys = fun _ -> no_keys)
     ?(cacheable = default_cacheable) ?cross ~label run =
   { label; run; read_only; keys; cacheable; cross }
 
+let run_in ?poll t ch rd ~xid ~dbs ~attempt ~body =
+  let fresh_seq = Dbms.Stub.seq_counter () in
+  let exec ~db ops =
+    Dbms.Stub.exec_retry ?poll ~fresh_seq ch rd ~db ~xid ops
+  in
+  t.run { xid; dbs; exec; attempt } ~body
+
+let compute ?poll ?breakdown t ch rd ~xid ~dbs ~rid ~attempt ~body =
+  let span label f = Stats.Breakdown.span_opt breakdown label f in
+  span "start" (fun () -> Dbms.Stub.xa_start_all ?poll ch rd ~dbs ~xid);
+  let result =
+    span "SQL" (fun () -> run_in ?poll t ch rd ~xid ~dbs ~attempt ~body)
+  in
+  Rt.note (Printf.sprintf "computed:%d:%d:%s" rid attempt result);
+  span "end" (fun () -> Dbms.Stub.xa_end_all ?poll ch rd ~dbs ~xid);
+  result
+
 let trivial =
   make ~label:"trivial"
     (* writes a per-xid marker key, which no declared keyset can name; the

@@ -101,5 +101,39 @@ val make :
     [cross] to [None] (single-shard only). Workloads with richer result
     grammars should whitelist explicitly. *)
 
+val run_in :
+  ?poll:float ->
+  t ->
+  Dnet.Rchannel.t ->
+  Dbms.Stub.Readiness.t ->
+  xid:Dbms.Xid.t ->
+  dbs:Types.proc_id list ->
+  attempt:int ->
+  body:string ->
+  Etx_types.result_value
+(** Run the business logic inside transaction [xid]. Its [exec] retries
+    lock conflicts ({!Dbms.Stub.exec_retry}) and draws every physical
+    attempt's sequence number from one counter per run, so a redelivered
+    exec never executes twice at the resource manager
+    ({!Dbms.Rm.exec_dedup}). *)
+
+val compute :
+  ?poll:float ->
+  ?breakdown:Stats.Breakdown.t ->
+  t ->
+  Dnet.Rchannel.t ->
+  Dbms.Stub.Readiness.t ->
+  xid:Dbms.Xid.t ->
+  dbs:Types.proc_id list ->
+  rid:int ->
+  attempt:int ->
+  body:string ->
+  Etx_types.result_value
+(** The paper's [compute()] of try [attempt] of request [rid] as
+    transaction [xid]: XA start at every database, {!run_in}, the
+    ["computed:rid:j:result"] note the spec's V.1 check reads, XA end at
+    every database. With [breakdown], the three steps are charged to the
+    Figure 8 categories "start", "SQL" and "end". *)
+
 val trivial : t
 (** Reads nothing, writes one marker key; useful for protocol tests. *)

@@ -29,7 +29,10 @@ let abort_decision = { result = None; outcome = Dbms.Rm.Abort }
 (** Canonical names of the protocol's stable registers. One encode/decode
     pair — the application server's writer path and the cleaning thread's
     scanner must agree byte-for-byte on the naming scheme, so neither spells
-    the format string on its own. *)
+    the format string on its own. Names carry the replica group, so two
+    shards' regA[j] / regD[j] arrays can never collide even if their
+    consensus traffic ever met: the isolation is syntactic rather than an
+    accident of uid allocation. *)
 module Reg_name = struct
   (* per-result registers of the classic (unbatched) path *)
   let reg_a ~group ~rid = Printf.sprintf "g%d:regA:r%d" group rid

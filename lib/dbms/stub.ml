@@ -75,6 +75,13 @@ let exec ?(poll = default_poll) ?(seq = 0) ch rd ~db ~xid ops =
           Some reply
       | _ -> None)
 
+let seq_counter () =
+  let c = ref 0 in
+  fun () ->
+    let s = !c in
+    incr c;
+    s
+
 (* Every physical attempt — including each conflict retry — draws a fresh
    [seq] so the server executes it exactly once even if the message is
    redelivered across a database recovery (Rm.exec_dedup). [fresh_seq]
@@ -83,14 +90,7 @@ let exec ?(poll = default_poll) ?(seq = 0) ch rd ~db ~xid ops =
 let exec_retry ?(poll = default_poll) ?(backoff = 40.) ?(max_tries = 20)
     ?fresh_seq ch rd ~db ~xid ops =
   let next =
-    match fresh_seq with
-    | Some f -> f
-    | None ->
-        let c = ref 0 in
-        fun () ->
-          let s = !c in
-          incr c;
-          s
+    match fresh_seq with Some f -> f | None -> seq_counter ()
   in
   let rec go tries =
     match exec ~poll ~seq:(next ()) ch rd ~db ~xid ops with
@@ -149,6 +149,43 @@ let broadcast_collect ?(poll = default_poll) ch rd ~dbs ~request ~matches =
     (db, wait (Readiness.epoch rd db))
   in
   List.map collect dbs
+
+(* One transaction's XA rounds at every database at once. *)
+
+let xa_start_all ?poll ch rd ~dbs ~xid =
+  ignore
+    (broadcast_collect ?poll ch rd ~dbs
+       ~request:(fun _ -> Msg.Xa_start { xid })
+       ~matches:(function
+         | Msg.Xa_started { xid = x } when Xid.equal x xid -> Some ()
+         | _ -> None))
+
+let xa_end_all ?poll ch rd ~dbs ~xid =
+  ignore
+    (broadcast_collect ?poll ch rd ~dbs
+       ~request:(fun _ -> Msg.Xa_end { xid })
+       ~matches:(function
+         | Msg.Xa_ended { xid = x } when Xid.equal x xid -> Some ()
+         | _ -> None))
+
+let prepare_all ?poll ch rd ~dbs ~xid =
+  let votes =
+    broadcast_collect ?poll ch rd ~dbs
+      ~request:(fun _ -> Msg.Prepare { xid })
+      ~matches:(function
+        | Msg.Vote_msg { xid = x; vote } when Xid.equal x xid -> Some vote
+        | _ -> None)
+  in
+  if List.for_all (fun (_, v) -> v = Rm.Yes) votes then Rm.Commit
+  else Rm.Abort
+
+let decide_all ?poll ch rd ~dbs ~xid outcome =
+  ignore
+    (broadcast_collect ?poll ch rd ~dbs
+       ~request:(fun _ -> Msg.Decide { xid; outcome })
+       ~matches:(function
+         | Msg.Ack_decide { xid = x } when Xid.equal x xid -> Some ()
+         | _ -> None))
 
 (* Batched XA rounds: one message per database carries the whole window of
    transactions, and one reply carries every answer. Replies are matched on

@@ -49,6 +49,9 @@ val exec :
     redelivered duplicates ({!Rm.exec_dedup}), so callers issuing several
     execs per transaction must give each a distinct number. *)
 
+val seq_counter : unit -> unit -> int
+(** A fresh exec-attempt counter: 0, 1, 2, ... *)
+
 val exec_retry :
   ?poll:float ->
   ?backoff:float ->
@@ -103,6 +106,46 @@ val broadcast_collect :
     then collect one matching reply from each, re-sending to any database
     that recovers meanwhile. One sequential communication step regardless of
     the number of databases. *)
+
+(** {1 One transaction at every database}
+
+    {!broadcast_collect} rounds for a single xid: one communication step
+    regardless of the number of databases. *)
+
+val xa_start_all :
+  ?poll:float ->
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xid:Xid.t ->
+  unit
+
+val xa_end_all :
+  ?poll:float ->
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xid:Xid.t ->
+  unit
+
+val prepare_all :
+  ?poll:float ->
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xid:Xid.t ->
+  Rm.outcome
+(** Figure 4's [prepare()]: [Commit] iff every database votes [Yes]. *)
+
+val decide_all :
+  ?poll:float ->
+  Dnet.Rchannel.t ->
+  Readiness.t ->
+  dbs:Types.proc_id list ->
+  xid:Xid.t ->
+  Rm.outcome ->
+  unit
+(** Figure 4's [terminate()] round: [Decide] until every database acked. *)
 
 (** {1 Batched XA rounds (group commit)}
 

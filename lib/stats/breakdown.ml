@@ -15,6 +15,9 @@ let span t category f =
   add t category (Runtime.Etx_runtime.now () -. t0);
   r
 
+let span_opt t category f =
+  match t with None -> f () | Some t -> span t category f
+
 let tick t = t.txns <- t.txns + 1
 
 let transactions t = t.txns

@@ -15,6 +15,9 @@ val span : t -> string -> (unit -> 'a) -> 'a
     [category]. Must run inside a fiber. Nesting is allowed but the caller
     is responsible for categories not double-counting. *)
 
+val span_opt : t option -> string -> (unit -> 'a) -> 'a
+(** {!span} when accounting is on; [None] just runs [f]. *)
+
 val add : t -> string -> float -> unit
 (** Directly charge [category]. *)
 

@@ -172,35 +172,41 @@ let test_misrouted_request_dropped () =
 
 (* the drop is not silent: the wrong shard's server answers with an
    explicit bounce Nack, which the client counts and reacts to by fanning
-   out immediately instead of waiting out its resend timer *)
+   out immediately instead of waiting out its resend timer — on the classic
+   intake (batch 1) and on the batched one (batch 16) alike *)
 let test_misrouted_request_bounced () =
-  let reg = Obs.Registry.create () in
-  let _e, c =
-    Harness.Simrun.cluster ~seed:3 ~shards:2 ~obs:reg ~business:Business.trivial
-      ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
-      ()
-  in
-  let rt = c.rt in
-  let home = Cluster.shard_of_key c "y" in
-  let wrong = 1 - home in
-  let wrong_servers = (Cluster.group c wrong).app_servers in
-  let bad =
-    Client.spawn rt ~name:"confused"
-      ~router:(fun _ -> (home, wrong_servers))
-      ~servers:wrong_servers
-      ~script:(fun ~issue -> ignore (issue "y"))
-      ()
-  in
-  Alcotest.(check bool) "healthy client quiesces" true
-    (rt.run_until ~deadline:30_000. (fun () ->
-         List.for_all Client.script_done c.clients));
-  Alcotest.(check bool) "misrouted request never delivered" false
-    (rt.run_until ~deadline:30_000. (fun () -> Client.script_done bad));
-  Alcotest.(check bool) "bounce Nacks reached the client" true
-    (Obs.Registry.counter_total reg "client.bounced" > 0);
-  Alcotest.(check int) "nothing committed for the misroute" 0
-    (Obs.Registry.counter_total reg "client.committed"
-    - List.length (Cluster.all_records c))
+  List.iter
+    (fun batch ->
+      let reg = Obs.Registry.create () in
+      let _e, c =
+        Harness.Simrun.cluster ~seed:3 ~shards:2 ~batch ~obs:reg
+          ~business:Business.trivial
+          ~scripts:[ (fun ~issue -> ignore (issue "x")) ]
+          ()
+      in
+      let rt = c.rt in
+      let home = Cluster.shard_of_key c "y" in
+      let wrong = 1 - home in
+      let wrong_servers = (Cluster.group c wrong).app_servers in
+      let bad =
+        Client.spawn rt ~name:"confused"
+          ~router:(fun _ -> (home, wrong_servers))
+          ~servers:wrong_servers
+          ~script:(fun ~issue -> ignore (issue "y"))
+          ()
+      in
+      let check what = Printf.sprintf "batch %d: %s" batch what in
+      Alcotest.(check bool) (check "healthy client quiesces") true
+        (rt.run_until ~deadline:30_000. (fun () ->
+             List.for_all Client.script_done c.clients));
+      Alcotest.(check bool) (check "misrouted request never delivered") false
+        (rt.run_until ~deadline:30_000. (fun () -> Client.script_done bad));
+      Alcotest.(check bool) (check "bounce Nacks reached the client") true
+        (Obs.Registry.counter_total reg "client.bounced" > 0);
+      Alcotest.(check int) (check "nothing committed for the misroute") 0
+        (Obs.Registry.counter_total reg "client.committed"
+        - List.length (Cluster.all_records c)))
+    [ 1; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* Random fault injection over a 2-shard, 4-client cluster: message loss,

@@ -259,6 +259,21 @@ let test_cross_obs_zero_emission_when_off () =
   Alcotest.(check bool) "client.committed still counted" true
     (Obs.Registry.counter_total reg "client.committed" = 4)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-shard commit with group commit loses exactly-once (a database
+   commits two results for one request), so the cluster refuses to build
+   that combination instead of running it. *)
+
+let test_cross_with_group_commit_rejected () =
+  match
+    Harness.Simrun.cluster ~seed:1 ~shards:2 ~cross:true ~group_commit:true
+      ~business:Workload.Bank.transfer
+      ~scripts:[ (fun ~issue -> ignore (issue "acct0:acct1:1")) ]
+      ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "cross + group commit was accepted"
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "cross"
@@ -269,6 +284,8 @@ let () =
             test_cross_transfer_commits;
           Alcotest.test_case "lone abort vote aborts every shard" `Quick
             test_cross_lone_abort_aborts_all_shards;
+          Alcotest.test_case "cross with group commit is rejected" `Quick
+            test_cross_with_group_commit_rejected;
         ] );
       ( "equivalence",
         [

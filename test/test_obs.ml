@@ -434,6 +434,132 @@ let test_cluster_obs_consistency () =
     "obs consistent with ground truth" []
     (Cluster.Spec.obs_consistency reg c)
 
+(* ------------------------------------------------------------------ *)
+(* Observability never changes the schedule. The same run with obs off,
+   with metrics only and fully traced executes the same number of engine
+   events, leaves the same notes and delivers the same records — on the
+   classic path through a primary crash (cleaner takeover), on the batched
+   path through a leaseholder crash (epoch sealing), and on two shards with
+   cross-shard commit and the method cache. *)
+
+let accounts n = List.init n (fun i -> (Printf.sprintf "acct%d" i, 1_000))
+
+(* transfers ("<from>:<to>:<amount>") beside cacheable audits and updates *)
+let bank_mix =
+  let transfer b = List.length (String.split_on_char ':' b) = 3 in
+  let pick b =
+    if transfer b then Workload.Bank.transfer else Workload.Bank.mixed
+  in
+  Etx.Business.make ~label:"obs-mix"
+    ~read_only:(fun b -> (not (transfer b)) && Workload.Bank.mixed.read_only b)
+    ~keys:(fun b -> (pick b).keys b)
+    ?cross:Workload.Bank.transfer.cross
+    (fun ctx ~body -> (pick body).run ctx ~body)
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(* each config as (name, builder, what its run must have exercised) *)
+let obs_configs =
+  let noted p c =
+    List.exists (fun (_, n) -> has_prefix p n) (c.Cluster.rt.notes ())
+  in
+  let updates ~clients ~per =
+    List.init clients (fun c ~issue ->
+        for i = 1 to per do
+          ignore (issue (Printf.sprintf "acct%d:%d" c i))
+        done)
+  in
+  [
+    ( "classic, primary crash",
+      (fun ?obs () ->
+        let e, c =
+          Harness.Simrun.cluster ~seed:42 ?obs ~client_period:300.
+            ~seed_data:(Workload.Bank.seed_accounts (accounts 2))
+            ~business:Workload.Bank.update
+            ~scripts:(updates ~clients:2 ~per:2) ()
+        in
+        Dsim.Engine.crash_at e 230. (Cluster.primary c ~shard:0);
+        (e, c) ),
+      noted "cleaned:" );
+    ( "batch 16, leaseholder crash",
+      (fun ?obs () ->
+        let e, c =
+          Harness.Simrun.cluster ~seed:3 ?obs ~batch:16 ~client_period:300.
+            ~seed_data:(Workload.Bank.seed_accounts (accounts 8))
+            ~business:Workload.Bank.update
+            ~scripts:(updates ~clients:8 ~per:3) ()
+        in
+        Dsim.Engine.crash_at e 300. (Cluster.primary c ~shard:0);
+        (e, c) ),
+      noted "lease-acquired:g0:e2" );
+    ( "2 shards, cross and cache",
+      (fun ?obs () ->
+        let map = Etx.Shard_map.create ~shards:2 () in
+        let other =
+          List.find
+            (fun (a, _) ->
+              Etx.Shard_map.shard_of map a
+              <> Etx.Shard_map.shard_of map "acct0")
+            (accounts 16)
+          |> fst
+        in
+        Harness.Simrun.cluster ~seed:5 ?obs ~map ~cross:true ~cache:true
+          ~seed_data:(Workload.Bank.seed_accounts (accounts 16))
+          ~business:bank_mix
+          ~scripts:
+            [
+              (fun ~issue ->
+                for _ = 1 to 3 do
+                  ignore (issue ("acct0:" ^ other ^ ":5"))
+                done);
+              (fun ~issue ->
+                for _ = 1 to 4 do
+                  ignore (issue "acct0")
+                done);
+              (fun ~issue ->
+                ignore (issue (other ^ ":1"));
+                ignore (issue other));
+            ]
+          () ),
+      fun c ->
+        let rs = Cluster.all_records c in
+        List.exists (fun (r : Etx.Client.record) -> r.cached) rs
+        && List.exists
+             (fun (r : Etx.Client.record) -> has_prefix "transferred:" r.result)
+             rs );
+  ]
+
+let test_obs_never_changes_schedule () =
+  List.iter
+    (fun (name, build, exercised) ->
+      let run obs =
+        let e, c = build ?obs () in
+        Alcotest.(check bool) (name ^ ": quiesced") true
+          (Cluster.run_to_quiescence ~deadline:600_000. c);
+        Alcotest.(check (list string)) (name ^ ": spec holds") []
+          (Cluster.Spec.check_all c);
+        Alcotest.(check bool) (name ^ ": feature path exercised") true
+          (exercised c);
+        ( Dsim.Engine.events_of e,
+          c.rt.notes (),
+          List.map
+            (fun (r : Etx.Client.record) ->
+              Printf.sprintf "r%d j%d %s %.3f" r.rid r.tries r.result
+                r.delivered_at)
+            (Cluster.all_records c) )
+      in
+      let events, notes, records = run None in
+      List.iter
+        (fun (mode, reg) ->
+          let events', notes', records' = run (Some reg) in
+          let what x = Printf.sprintf "%s: %s, %s = off" name mode x in
+          Alcotest.(check int) (what "engine events") events events';
+          Alcotest.(check bool) (what "notes") true (notes = notes');
+          Alcotest.(check (list string)) (what "records") records records')
+        [ ("metrics", R.create ~spans:false ()); ("traced", R.create ()) ])
+    obs_configs
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
@@ -473,5 +599,7 @@ let () =
           Alcotest.test_case "cache metrics" `Quick test_cache_metrics;
           Alcotest.test_case "cache metrics silent when off" `Quick
             test_cache_off_emits_nothing;
+          Alcotest.test_case "obs never changes the schedule" `Quick
+            test_obs_never_changes_schedule;
         ] );
     ]
