@@ -322,7 +322,10 @@ let split ?boundary t ~group ~target =
     t.rt.spawn
       ~name:(Printf.sprintf "opctl-e%d" e)
       ~main:(fun ~recovery () ->
-        if not recovery then begin
+        (* a recovered console has lost its channel state: it only
+           acknowledges the servers' replies so they stop retransmitting *)
+        if recovery then Dnet.Rchannel.absorb ()
+        else begin
           let ch = Dnet.Rchannel.create () in
           Dnet.Rchannel.start ch;
           let rec drive () =

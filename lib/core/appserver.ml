@@ -1797,7 +1797,10 @@ let spawn cfg =
         (match cfg.cache with
         | Some cache -> ignore (Method_cache.flush cache)
         | None -> ());
-        Rt.note "appserver-recovery-unsupported"
+        Rt.note "appserver-recovery-unsupported";
+        (* still acknowledge what peers and clients send here, or their
+           channels retransmit to this process until the run ends *)
+        Rchannel.absorb ()
       end
       else begin
         if recovery then Rt.note "appserver-recovered";

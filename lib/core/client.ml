@@ -261,7 +261,7 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
                       group;
                     }
                   in
-                  records := !records @ [ record ];
+                  records := record :: !records;
                   (match sink with
                   | None -> ()
                   | Some s ->
@@ -297,6 +297,6 @@ let spawn (rt : Rt.t) ?(name = "client") ?(period = 400.) ?(affinity = 0)
 
 let pid t = t.pid
 
-let records t = !(t.records)
+let records t = List.rev !(t.records)
 
 let script_done t = !(t.finished)

@@ -260,6 +260,19 @@ let send t dst inner =
 
 let broadcast t dsts inner = List.iter (fun dst -> send t dst inner) dsts
 
+(* Acking [rc_seq] as the cumulative mark retires the sender's whole
+   prefix to this process in one ack; nothing is remembered, so a
+   replayed frame is simply acked again. *)
+let absorb () =
+  let rec loop () =
+    (match Rt.recv_any () with
+    | Some { Types.src; payload = Rc_data { rc_ep; rc_seq; _ }; _ } ->
+        Rt.send src (Rc_ack { rc_ep; rc_seq; rc_cum = rc_seq })
+    | Some _ | None -> ());
+    loop ()
+  in
+  loop ()
+
 let inner_payload = function Rc_data { inner; _ } -> Some inner | _ -> None
 
 let is_overhead = function Rc_ack _ | Rc_kick -> true | _ -> false

@@ -16,7 +16,16 @@
 
     Endpoint state is volatile: it dies with the process, which is the
     correct semantics — a crashed process forgets what it sent, and the
-    paper's protocols tolerate exactly that. *)
+    paper's protocols tolerate exactly that.
+
+    A process that comes back up without the state to rejoin (a diskless
+    app server, an operator console) is the paper's crash-stop failure:
+    it is no longer a correct process, so termination owes it nothing,
+    yet its peers' endpoints would retransmit every frame ever addressed
+    to it for as long as the run lasts. Such a process runs {!absorb}
+    instead of an endpoint: it acknowledges every data frame and delivers
+    none, so its peers retire their outboxes to it and the engine can go
+    quiet. *)
 
 open Runtime
 
@@ -40,6 +49,13 @@ val send : t -> Types.proc_id -> Types.payload -> unit
     receiver endpoint while both processes stay up. Non-blocking. *)
 
 val broadcast : t -> Types.proc_id list -> Types.payload -> unit
+
+val absorb : unit -> unit
+(** The endpoint of a process that is up but takes no part in the
+    protocol. Runs forever in the calling fiber: every data frame
+    received is acknowledged as the sender's cumulative mark (retiring
+    its whole prefix to this process) and dropped undelivered; every
+    other message is dropped. Keeps no state. *)
 
 val pending : t -> int
 (** Number of not-yet-acknowledged outgoing messages (for tests). *)

@@ -209,6 +209,56 @@ let test_misrouted_request_bounced () =
     [ 1; 16 ]
 
 (* ------------------------------------------------------------------ *)
+(* A diskless app server that recovers stays out of the protocol, but its
+   peers' and clients' channels must still stop retransmitting to it: it
+   acknowledges every frame and sends nothing else, so a quiescent cluster
+   stays quiet. *)
+
+let test_recovered_server_absorbs_frames () =
+  let module Rt = Runtime.Etx_runtime in
+  let recover_at = 3_200. in
+  let reg = Obs.Registry.create () in
+  let seed_data = Workload.Bank.seed_accounts [ ("acct0", 1000) ] in
+  let script ~issue =
+    ignore (issue "acct0:1");
+    Rt.sleep (recover_at +. 500. -. Rt.now ());
+    for _ = 1 to 3 do
+      ignore (issue "acct0:1")
+    done
+  in
+  let e, c =
+    Harness.Simrun.cluster ~seed:4 ~shards:1 ~batch:1 ~obs:reg
+      ~net:(Dnet.Netmodel.lossy ~loss:0.01 (Dnet.Netmodel.three_tier ~n_dbs:1 ()))
+      ~fd_spec:Appserver.Fd_oracle ~seed_data ~business:Workload.Bank.update
+      ~scripts:[ script ] ()
+  in
+  let primary = Cluster.primary c ~shard:0 in
+  Dsim.Engine.crash_at e 200. primary;
+  Dsim.Engine.recover_at e recover_at primary;
+  Alcotest.(check bool) "quiesced" true (Cluster.run_to_quiescence c);
+  Alcotest.(check int) "all delivered" 4 (List.length (Cluster.all_records c));
+  Alcotest.(check bool) "recovery noted" true
+    (List.mem (primary, "appserver-recovery-unsupported") (c.rt.notes ()));
+  let retransmits () = Obs.Registry.counter_total reg "rc.retransmit" in
+  let before = retransmits () in
+  ignore (Dsim.Engine.run ~deadline:(Dsim.Engine.now_of e +. 60_000.) e);
+  Alcotest.(check int) "no retransmit once quiescent" before (retransmits ());
+  let sent_after_recovery =
+    List.filter_map
+      (fun (en : Dsim.Trace.entry) ->
+        match en.event with
+        | Dsim.Trace.Sent (m, _) when m.src = primary && en.at >= recover_at ->
+            Some m.payload
+        | _ -> None)
+      (Dsim.Trace.entries (Dsim.Engine.trace e))
+  in
+  Alcotest.(check bool) "the recovered server acknowledged frames" true
+    (sent_after_recovery <> []);
+  Alcotest.(check bool) "and sent nothing but acks" true
+    (List.for_all Dnet.Rchannel.is_overhead sent_after_recovery);
+  Alcotest.(check (list string)) "cluster spec" [] (Cluster.Spec.check_all c)
+
+(* ------------------------------------------------------------------ *)
 (* Random fault injection over a 2-shard, 4-client cluster: message loss,
    an imperfect failure detector, and an application-server crash on a
    random shard. Per-shard A.1–A.3 / V.1–V.2 / T.2 plus the global
@@ -273,6 +323,11 @@ let () =
             test_misrouted_request_dropped;
           Alcotest.test_case "misrouted request bounced" `Quick
             test_misrouted_request_bounced;
+        ] );
+      ( "crash-recovery",
+        [
+          Alcotest.test_case "recovered diskless server absorbs its frames"
+            `Quick test_recovered_server_absorbs_frames;
         ] );
       ("random-faults", [ q prop_cluster_spec_under_random_faults ]);
     ]

@@ -215,6 +215,45 @@ let test_rchannel_delivery_after_recovery () =
   ignore (Engine.run ~deadline:5_000. t);
   Alcotest.(check (list int)) "delivered after recovery" [ 7 ] !received
 
+(* A process running [absorb] acknowledges every frame and delivers none:
+   over a lossy net the sender's outbox still drains, nothing reaches the
+   absorber's mailbox as an application message, and once the outbox is
+   empty the engine goes quiet. *)
+let test_rchannel_absorb () =
+  let t = Engine.create ~seed:5 ~net:(Netmodel.lossy ~loss:0.3 (Netmodel.lan ())) () in
+  let absorber =
+    Engine.spawn t ~name:"absorber" ~main:(fun ~recovery:_ () ->
+        Rchannel.absorb ())
+  in
+  let pending = ref (-1) in
+  let _ =
+    Engine.spawn t ~name:"sender" ~main:(fun ~recovery:_ () ->
+        let ch = Rchannel.create () in
+        Rchannel.start ch;
+        for i = 1 to 20 do
+          Rchannel.send ch absorber (App i)
+        done;
+        Engine.sleep 5_000.;
+        pending := Rchannel.pending ch)
+  in
+  (* the deadline only turns a regression into a failure, not a hang *)
+  let outcome = Engine.run ~deadline:600_000. t in
+  Alcotest.(check bool) "quiescent" true (outcome = Engine.Quiescent);
+  Alcotest.(check int) "sender's outbox drained" 0 !pending;
+  let redelivered =
+    List.filter
+      (fun (e : Trace.entry) ->
+        match e.event with
+        | Trace.Delivered { dst; payload = App _; _ } -> dst = absorber
+        | _ -> false)
+      (Trace.entries (Engine.trace t))
+  in
+  Alcotest.(check int) "nothing delivered to the absorber" 0
+    (List.length redelivered);
+  let events = Engine.events_of t in
+  ignore (Engine.run ~deadline:(Engine.now_of t +. 60_000.) t);
+  Alcotest.(check int) "no event after quiescence" events (Engine.events_of t)
+
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
 
@@ -377,6 +416,8 @@ let () =
             test_rchannel_crashed_receiver_no_delivery;
           Alcotest.test_case "delivery after recovery" `Quick
             test_rchannel_delivery_after_recovery;
+          Alcotest.test_case "absorb acks and drops" `Quick
+            test_rchannel_absorb;
           q prop_rchannel_exactly_once;
         ] );
       ( "fdetect",
