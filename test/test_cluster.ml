@@ -324,7 +324,7 @@ let () =
           Alcotest.test_case "misrouted request bounced" `Quick
             test_misrouted_request_bounced;
         ] );
-      ( "crash-recovery",
+      ( "recovery",
         [
           Alcotest.test_case "recovered diskless server absorbs its frames"
             `Quick test_recovered_server_absorbs_frames;
