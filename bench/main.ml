@@ -890,12 +890,13 @@ open Bechamel
 
 let micro_tests =
   let heap_bench () =
-    let h = Runtime.Heap.create ~leq:(fun (a : int) b -> a <= b) () in
+    let h = Runtime.Heap.create () in
     for i = 0 to 999 do
-      Runtime.Heap.push h ((i * 7919) mod 1000)
+      Runtime.Heap.push h (float_of_int ((i * 7919) mod 1000)) i
     done;
-    let rec drain () = match Runtime.Heap.pop h with None -> () | Some _ -> drain () in
-    drain ()
+    while not (Runtime.Heap.is_empty h) do
+      ignore (Runtime.Heap.pop h : int)
+    done
   in
   let rng_bench () =
     let r = Runtime.Rng.create ~seed:1 in

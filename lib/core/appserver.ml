@@ -1383,9 +1383,8 @@ type lease = {
   mutable epoch : int;  (** highest lease epoch known decided; 0 = none *)
   mutable holder : Types.proc_id option;  (** winner of [epoch] *)
   mutable seq : int;  (** next batch slot in our epoch (holder only) *)
-  mutable pending : (request * int) list;  (** queued (request, j) *)
-  mutable limbo : (request * int) list;
-      (** arrivals while [holder = None]; see above *)
+  pending : request Intake.t;  (** queued (request, j) *)
+  limbo : request Intake.t;  (** arrivals while [holder = None]; see above *)
   mutable tails : int;
       (** windows past their compute phase but not yet decided: the
           pipeline overlaps the next window's compute with the previous
@@ -1491,10 +1490,10 @@ let lease_takeover ctx ls =
     | _ -> ctx.self
   in
   ls.epoch <- next;
-  ls.pending <- [];
+  Intake.clear ls.pending;
   if winner <> ctx.self then begin
     ls.holder <- Some winner;
-    ls.limbo <- []
+    Intake.clear ls.limbo
   end
   else begin
     (* CRITICAL ordering: holdership of the new epoch must not become
@@ -1513,8 +1512,7 @@ let lease_takeover ctx ls =
     (* promote bootstrap arrivals now that every predecessor is sealed:
        window assembly re-filters against [st.last], so anything sealing
        already decided cannot re-enter a batch *)
-    ls.pending <- ls.limbo;
-    ls.limbo <- [];
+    Intake.transfer ls.limbo ls.pending;
     ls.holder <- Some ctx.self;
     Rt.note (Printf.sprintf "lease-acquired:g%d:e%d" ctx.cfg.group next);
     ctx.obs.count "server.lease_acquired" 1;
@@ -1536,8 +1534,8 @@ let lease_monitor ctx ls () =
         ls.epoch <- ls.epoch + 1;
         ls.holder <- Some w;
         if w <> ctx.self then begin
-          ls.pending <- [];
-          ls.limbo <- []
+          Intake.clear ls.pending;
+          Intake.clear ls.limbo
         end;
         advance ()
     | Some _ | None -> ()
@@ -1591,8 +1589,7 @@ let process_batch ctx ls items =
          items, and assembly re-filters against [st.last]. *)
       if elected <> ids then begin
         ls.seq <- seq + 1;
-        if ls.holder = Some ctx.self then
-          ls.pending <- items @ ls.pending;
+        if ls.holder = Some ctx.self then Intake.requeue ls.pending items;
         ctx.obs.close_span ~attrs:[ ("stale-slot", "true") ] bspan
       end
       else begin
@@ -1685,7 +1682,7 @@ let process_batch ctx ls items =
          dropped items re-drive through client retransmission to the new
          holder; nothing may be delivered from a lost election. *)
       ls.holder <- None;
-      ls.pending <- [];
+      Intake.clear ls.pending;
       ctx.obs.close_span ~attrs:[ ("deposed", "true") ] bspan
 
 (* Request intake on the batched path. Only the holder queues; followers
@@ -1708,17 +1705,8 @@ let batch_enqueue ctx ls m =
       fork_marked ctx (request.rid, j, -1) "gx-coord" (fun () ->
           compute_try_cross ctx st ~request ~j ~shards)
   | Single (request, j, _) ->
-      let queued q =
-        List.exists
-          (fun ((r : request), j') -> r.rid = request.rid && j' = j)
-          q
-      in
-      if ls.holder = Some ctx.self then begin
-        if not (queued ls.pending) then
-          ls.pending <- ls.pending @ [ (request, j) ]
-      end
-      else if ls.holder = None && not (queued ls.limbo) then
-        ls.limbo <- ls.limbo @ [ (request, j) ]
+      if ls.holder = Some ctx.self then Intake.add ls.pending (request, j)
+      else if ls.holder = None then Intake.add ls.limbo (request, j)
 
 (* The batched analogue of [compute_thread]: block for one request, drain
    whatever else already arrived (timeout 0 empties the mailbox without
@@ -1732,11 +1720,11 @@ let batch_thread ctx ls () =
      grew, so an idle or trickling workload pays at most one slice. *)
   let linger_step = 2. in
   let rec linger () =
-    let before = List.length ls.pending in
+    let before = Intake.length ls.pending in
     if before < ctx.cfg.batch then begin
       Rt.sleep linger_step;
       drain ();
-      if List.length ls.pending > before then linger ()
+      if Intake.length ls.pending > before then linger ()
     end
   and drain () =
     match Rt.recv_cls ~timeout:0. cls_request with
@@ -1745,12 +1733,15 @@ let batch_thread ctx ls () =
         batch_enqueue ctx ls m;
         drain ()
   in
+  let queued () =
+    ls.holder = Some ctx.self && not (Intake.is_empty ls.pending)
+  in
   let rec loop () =
     (* block only when nothing is queued AND we hold the lease: while we do
        not (bootstrap, deposed), the lease monitor may promote [limbo] into
        [pending] from its own fiber, so poll instead of blocking forever on
        a mailbox the clients will only refill at their back-off period *)
-    (if ls.holder = Some ctx.self && ls.pending <> [] then drain ()
+    (if queued () then drain ()
      else
        let timeout =
          if ls.holder = Some ctx.self then None else Some ctx.cfg.poll
@@ -1760,10 +1751,9 @@ let batch_thread ctx ls () =
        | Some m ->
            batch_enqueue ctx ls m;
            drain ());
-    if ls.holder = Some ctx.self && ls.pending <> [] then linger ();
-    if ls.holder = Some ctx.self && ls.pending <> [] then begin
-      let batch, rest = split_at ctx.cfg.batch ls.pending in
-      ls.pending <- rest;
+    if queued () then linger ();
+    if queued () then begin
+      let batch = Intake.take ls.pending ctx.cfg.batch in
       (* the registers decide; skip anything terminated meanwhile *)
       let batch =
         List.filter
@@ -1922,13 +1912,14 @@ let spawn cfg =
           (* leased, batched fast path: the lease monitor subsumes the
              cleaning thread (takeover seals the suspect's epoch, which
              aborts-or-finishes every outstanding batch) *)
+          let rid (r : request) = r.rid in
           let ls =
             {
               epoch = 0;
               holder = None;
               seq = 0;
-              pending = [];
-              limbo = [];
+              pending = Intake.create ~rid ();
+              limbo = Intake.create ~rid ();
               tails = 0;
             }
           in

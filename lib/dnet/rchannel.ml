@@ -3,15 +3,18 @@ module Rt = Etx_runtime
 
 (* [rc_ep] identifies the sending endpoint incarnation: a process that
    crashes and recovers gets a fresh endpoint whose sequence numbers restart,
-   so deduplication must key on (source, endpoint, seq) — otherwise a
-   recovered database's first messages would be dropped as duplicates.
+   so deduplication must key on (endpoint, seq) — otherwise a recovered
+   database's first messages would be dropped as duplicates. Endpoint ids
+   come from [Rt.fresh_uid], unique per engine on both backends, and every
+   sender that reaches a channel runs on its engine: [rc_ep] alone names
+   the sending process incarnation, so the source pid is not part of the
+   key.
 
    Sequence numbers are per destination (starting at 1), which lets an ack
    carry [rc_cum], the receiver's highest contiguously-delivered sequence
-   for that (source, endpoint): one ack then retires a whole prefix of the
-   outbox, and the receiver's duplicate-suppression state stays bounded by
-   the out-of-order window instead of growing with every message ever
-   seen. *)
+   for that endpoint: one ack then retires a whole prefix of the outbox,
+   and the receiver's duplicate-suppression state stays bounded by the
+   out-of-order window instead of growing with every message ever seen. *)
 type Types.payload +=
   | Rc_data of { rc_ep : int; rc_seq : int; inner : Types.payload }
   | Rc_ack of { rc_ep : int; rc_seq : int; rc_cum : int }
@@ -36,25 +39,28 @@ type out_entry = {
   mutable acked : bool;
 }
 
+(* int-keyed tables: sequence numbers, pids and endpoint ids hash to
+   themselves, so lookups skip the polymorphic hash and compare *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 (* sender-side per-destination stream *)
 type dst_state = {
   mutable next_seq : int;
-  live : (int, out_entry) Hashtbl.t;  (** seq -> unacked entry *)
+  live : out_entry Itbl.t;  (** seq -> unacked entry *)
   mutable min_live : int;
       (** every seq below this is retired; cumulative acks advance it *)
 }
 
-(* receiver-side per-(source, endpoint) stream *)
+(* receiver-side per-endpoint stream *)
 type rx_state = {
   mutable cum : int;  (** highest contiguously delivered sequence *)
-  ooo : (int, unit) Hashtbl.t;  (** delivered out of order, above [cum] *)
+  ooo : unit Itbl.t;  (** delivered out of order, above [cum] *)
 }
-
-(* Retransmission timers: a lazy-deletion min-heap of (due, entry)
-   snapshots. Acking or rescheduling an entry leaves its old snapshot in
-   the heap; pops skip snapshots whose entry is retired or whose due time
-   moved on. [hseq] breaks due-time ties deterministically. *)
-type helem = { hdue : float; hseq : int; entry : out_entry }
 
 type t = {
   owner : Types.proc_id;
@@ -62,11 +68,14 @@ type t = {
   retransmit_after : float;
   backoff_factor : float;
   max_backoff : float;
-  streams : (Types.proc_id, dst_state) Hashtbl.t;
-  timers : helem Heap.t;
-  mutable hseq : int;
+  streams : dst_state Itbl.t;  (** by destination pid *)
+  timers : out_entry Heap.t;
+      (** retransmission timers with lazy deletion, each entry keyed by its
+          due time when pushed: acking or rescheduling an entry leaves its
+          old slot in the heap, and pops skip slots whose entry is retired
+          or whose due time moved on *)
   mutable pending : int;  (** unacked outgoing messages, O(1) *)
-  rx : (Types.proc_id * int, rx_state) Hashtbl.t;
+  rx : rx_state Itbl.t;  (** by sending endpoint [rc_ep] *)
   sink : Rt.obs_sink option;  (** fetched once at create; None = obs off *)
 }
 
@@ -83,38 +92,32 @@ let create ?(retransmit_after = 10.) ?(backoff_factor = 2.)
     retransmit_after;
     backoff_factor;
     max_backoff;
-    streams = Hashtbl.create 16;
-    timers =
-      Heap.create
-        ~leq:(fun a b -> a.hdue < b.hdue || (a.hdue = b.hdue && a.hseq <= b.hseq))
-        ();
-    hseq = 0;
+    streams = Itbl.create 16;
+    timers = Heap.create ();
     pending = 0;
-    rx = Hashtbl.create 16;
+    rx = Itbl.create 16;
     sink = Rt.obs ();
   }
 
 let pending t = t.pending
 
 let stream_to t dst =
-  match Hashtbl.find_opt t.streams dst with
+  match Itbl.find_opt t.streams dst with
   | Some ds -> ds
   | None ->
-      let ds = { next_seq = 0; live = Hashtbl.create 16; min_live = 1 } in
-      Hashtbl.add t.streams dst ds;
+      let ds = { next_seq = 0; live = Itbl.create 16; min_live = 1 } in
+      Itbl.add t.streams dst ds;
       ds
 
-let stream_from t src rc_ep =
-  match Hashtbl.find_opt t.rx (src, rc_ep) with
+let stream_from t rc_ep =
+  match Itbl.find_opt t.rx rc_ep with
   | Some rs -> rs
   | None ->
-      let rs = { cum = 0; ooo = Hashtbl.create 8 } in
-      Hashtbl.add t.rx (src, rc_ep) rs;
+      let rs = { cum = 0; ooo = Itbl.create 8 } in
+      Itbl.add t.rx rc_ep rs;
       rs
 
-let push_timer t e =
-  t.hseq <- t.hseq + 1;
-  Heap.push t.timers { hdue = e.due; hseq = t.hseq; entry = e }
+let push_timer t e = Heap.push t.timers e.due e
 
 let retire t (e : out_entry) =
   if not e.acked then begin
@@ -123,17 +126,17 @@ let retire t (e : out_entry) =
   end
 
 let handle_ack t ds ~seq ~cum =
-  (match Hashtbl.find_opt ds.live seq with
+  (match Itbl.find_opt ds.live seq with
   | Some e ->
-      Hashtbl.remove ds.live seq;
+      Itbl.remove ds.live seq;
       retire t e
   | None -> ());
   (* advance the retired prefix; each sequence number is visited at most
      once over the stream's lifetime, so this is amortised O(1) per ack *)
   while ds.min_live <= cum do
-    (match Hashtbl.find_opt ds.live ds.min_live with
+    (match Itbl.find_opt ds.live ds.min_live with
     | Some e ->
-        Hashtbl.remove ds.live ds.min_live;
+        Itbl.remove ds.live ds.min_live;
         retire t e
     | None -> ());
     ds.min_live <- ds.min_live + 1
@@ -142,25 +145,25 @@ let handle_ack t ds ~seq ~cum =
 let handle_incoming t (m : Types.message) =
   match m.payload with
   | Rc_data { rc_ep; rc_seq; inner } ->
-      let rs = stream_from t m.src rc_ep in
-      let duplicate = rc_seq <= rs.cum || Hashtbl.mem rs.ooo rc_seq in
+      let rs = stream_from t rc_ep in
+      let duplicate = rc_seq <= rs.cum || Itbl.mem rs.ooo rc_seq in
       if duplicate then count t "rc.duplicate";
       if not duplicate then begin
         if rc_seq = rs.cum + 1 then begin
           rs.cum <- rs.cum + 1;
-          while Hashtbl.mem rs.ooo (rs.cum + 1) do
-            Hashtbl.remove rs.ooo (rs.cum + 1);
+          while Itbl.mem rs.ooo (rs.cum + 1) do
+            Itbl.remove rs.ooo (rs.cum + 1);
             rs.cum <- rs.cum + 1
           done
         end
-        else Hashtbl.add rs.ooo rc_seq ();
+        else Itbl.add rs.ooo rc_seq ();
         Rt.send m.src (Rc_ack { rc_ep; rc_seq; rc_cum = rs.cum });
         Rt.redeliver ~src:m.src inner
       end
       else Rt.send m.src (Rc_ack { rc_ep; rc_seq; rc_cum = rs.cum })
   | Rc_ack { rc_ep; rc_seq; rc_cum } ->
       if rc_ep = t.ep then
-        (match Hashtbl.find_opt t.streams m.src with
+        (match Itbl.find_opt t.streams m.src with
         | Some ds -> handle_ack t ds ~seq:rc_seq ~cum:rc_cum
         | None -> ())
   | _ -> ()
@@ -179,37 +182,37 @@ let receiver_loop t () =
    it blocks on a kick message, so a finished simulation reaches
    quiescence. *)
 let retransmitter_loop t () =
-  (* earliest live due time, discarding stale heap snapshots *)
+  (* the top slot is stale once its entry is retired or rescheduled *)
+  let stale_top () =
+    let e = Heap.top t.timers in
+    e.acked || Heap.min_key t.timers <> e.due
+  in
+  (* earliest live due time, discarding stale slots *)
   let rec next_due () =
-    match Heap.peek t.timers with
-    | None -> None
-    | Some h ->
-        if h.entry.acked || h.hdue <> h.entry.due then begin
-          ignore (Heap.pop t.timers);
-          next_due ()
-        end
-        else Some h.hdue
+    if Heap.is_empty t.timers then None
+    else if stale_top () then begin
+      ignore (Heap.pop t.timers);
+      next_due ()
+    end
+    else Some (Heap.min_key t.timers)
   in
   let rec fire now =
-    match Heap.peek t.timers with
-    | None -> ()
-    | Some h ->
-        if h.entry.acked || h.hdue <> h.entry.due then begin
-          ignore (Heap.pop t.timers);
-          fire now
-        end
-        else if h.hdue <= now then begin
-          ignore (Heap.pop t.timers);
-          let e = h.entry in
-          count t "rc.retransmit";
-          Rt.send e.dst
-            (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
-          e.next_delay <-
-            Float.min t.max_backoff (e.next_delay *. t.backoff_factor);
-          e.due <- now +. e.next_delay;
-          push_timer t e;
-          fire now
-        end
+    if not (Heap.is_empty t.timers) then
+      if stale_top () then begin
+        ignore (Heap.pop t.timers);
+        fire now
+      end
+      else if Heap.min_key t.timers <= now then begin
+        let e = Heap.pop t.timers in
+        count t "rc.retransmit";
+        Rt.send e.dst
+          (Rc_data { rc_ep = t.ep; rc_seq = e.seq; inner = e.inner });
+        e.next_delay <-
+          Float.min t.max_backoff (e.next_delay *. t.backoff_factor);
+        e.due <- now +. e.next_delay;
+        push_timer t e;
+        fire now
+      end
   in
   let rec loop () =
     if t.pending = 0 then begin
@@ -250,7 +253,7 @@ let send t dst inner =
       acked = false;
     }
   in
-  Hashtbl.add ds.live seq entry;
+  Itbl.add ds.live seq entry;
   count t "rc.send";
   let was_idle = t.pending = 0 in
   t.pending <- t.pending + 1;

@@ -14,8 +14,6 @@ type netmodel = ER.netmodel
 
 let default_net = ER.default_net
 
-type event = { at : time; seq : int; run : unit -> unit }
-
 (* Message classes: global, backend-independent registry (see
    Etx_runtime). *)
 
@@ -44,8 +42,7 @@ type proc = {
 
 type t = {
   mutable vnow : time;
-  queue : event Heap.t;
-  mutable seq : int;
+  queue : (unit -> unit) Heap.t;  (** keyed by due time, FIFO on ties *)
   mutable procs : proc array;
   mutable nprocs : int;
   grng : Rng.t;
@@ -56,7 +53,6 @@ type t = {
   mutable next_msg_id : int;
   mutable next_uid : int;
   mutable nevents : int;  (** events executed by {!step}, for throughput *)
-  mutable current : proc option;
   mutable stopping : bool;
   obs : Obs.Registry.t option;
       (** opt-in observability; [None] keeps every instrument site on the
@@ -67,11 +63,7 @@ let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
   let grng = Rng.create ~seed in
   {
     vnow = 0.;
-    queue =
-      Heap.create
-        ~leq:(fun a b -> a.at < b.at || (a.at = b.at && a.seq <= b.seq))
-        ();
-    seq = 0;
+    queue = Heap.create ();
     procs = [||];
     nprocs = 0;
     grng;
@@ -84,7 +76,6 @@ let create ?(seed = 0xC0FFEE) ?(net = default_net) ?(tracing = true) ?obs () =
     (* uids start above any client try counter j so identifiers drawn here
        (transaction ids in the comparison protocols) stay disjoint from j *)
     next_uid = 1000;
-    current = None;
     stopping = false;
     obs;
   }
@@ -114,8 +105,7 @@ let events_of t = t.nevents
 
 let schedule t ~delay run =
   assert (delay >= 0.);
-  t.seq <- t.seq + 1;
-  Heap.push t.queue { at = t.vnow +. delay; seq = t.seq; run }
+  Heap.push t.queue (t.vnow +. delay) run
 
 let proc_of t pid =
   if pid < 0 || pid >= t.nprocs then
@@ -168,7 +158,7 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
               (fun k ->
                 let inc = p.incarnation in
                 schedule t ~delay:d (fun () ->
-                    if p.up && p.incarnation = inc then resume t p k ()))
+                    if p.up && p.incarnation = inc then continue k ()))
         | ER.E_work (label, d) ->
             Some
               (fun k ->
@@ -179,7 +169,7 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
                 | Some s -> s.ER.obs_observe ("work." ^ label) d);
                 let inc = p.incarnation in
                 schedule t ~delay:d (fun () ->
-                    if p.up && p.incarnation = inc then resume t p k ()))
+                    if p.up && p.incarnation = inc then continue k ()))
         | ER.E_send (dst, payload) ->
             Some
               (fun k ->
@@ -223,7 +213,7 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
                         schedule t ~delay:d (fun () ->
                             if p.up && p.incarnation = inc then
                               if Cq.remove p.waiters node then
-                                resume t p (Cq.node_value node).wk None)))
+                                continue (Cq.node_value node).wk None)))
         | ER.E_fork (fname, f) ->
             Some
               (fun k ->
@@ -237,19 +227,7 @@ let rec handler : t -> proc -> (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-and resume : 'a. t -> proc -> ('a, unit) Effect.Deep.continuation -> 'a -> unit
-    =
- fun t p k v ->
-  let saved = t.current in
-  t.current <- Some p;
-  Effect.Deep.continue k v;
-  t.current <- saved
-
-and run_fiber t p f =
-  let saved = t.current in
-  t.current <- Some p;
-  Effect.Deep.match_with f () (handler t p);
-  t.current <- saved
+and run_fiber t p f = Effect.Deep.match_with f () (handler t p)
 
 and fresh_msg_id t =
   t.next_msg_id <- t.next_msg_id + 1;
@@ -278,7 +256,7 @@ and enqueue_message t p m =
   | None -> ignore (Cq.push p.mailbox ~cls:c m)
   | Some n ->
       ignore (Cq.remove p.waiters n);
-      resume t p (Cq.node_value n).wk (Some m)
+      Effect.Deep.continue (Cq.node_value n).wk (Some m)
 
 and transmit t ~src ~dst payload =
   let m = { src; dst; payload; msg_id = fresh_msg_id t; sent_at = t.vnow } in
@@ -383,48 +361,47 @@ type outcome = Quiescent | Deadline_reached | Stopped
 
 let stop t = t.stopping <- true
 
+(* Runs the earliest event; the queue must not be empty. *)
 let step t =
-  match Heap.pop t.queue with
-  | None -> None
-  | Some ev ->
-      assert (ev.at >= t.vnow);
-      t.vnow <- ev.at;
-      t.nevents <- t.nevents + 1;
-      ev.run ();
-      Some ev.at
+  let at = Heap.min_key t.queue in
+  let run = Heap.pop t.queue in
+  assert (at >= t.vnow);
+  t.vnow <- at;
+  t.nevents <- t.nevents + 1;
+  run ()
 
 let run ?deadline t =
   t.stopping <- false;
-  let over at = match deadline with None -> false | Some d -> at > d in
+  let limit = Option.value deadline ~default:infinity in
   let rec loop () =
     if t.stopping then Stopped
-    else
-      match Heap.peek t.queue with
-      | None -> Quiescent
-      | Some ev when over ev.at ->
-          (match deadline with Some d -> t.vnow <- d | None -> ());
-          Deadline_reached
-      | Some _ ->
-          ignore (step t);
-          loop ()
+    else if Heap.is_empty t.queue then Quiescent
+    else if Heap.min_key t.queue > limit then begin
+      (match deadline with Some d -> t.vnow <- d | None -> ());
+      Deadline_reached
+    end
+    else begin
+      step t;
+      loop ()
+    end
   in
   loop ()
 
 let run_until ?deadline t pred =
   t.stopping <- false;
-  let over at = match deadline with None -> false | Some d -> at > d in
+  let limit = Option.value deadline ~default:infinity in
   let rec loop () =
     if pred () then true
     else if t.stopping then false
-    else
-      match Heap.peek t.queue with
-      | None -> pred ()
-      | Some ev when over ev.at ->
-          (match deadline with Some d -> t.vnow <- d | None -> ());
-          pred ()
-      | Some _ ->
-          ignore (step t);
-          loop ()
+    else if Heap.is_empty t.queue then pred ()
+    else if Heap.min_key t.queue > limit then begin
+      (match deadline with Some d -> t.vnow <- d | None -> ());
+      pred ()
+    end
+    else begin
+      step t;
+      loop ()
+    end
   in
   loop ()
 

@@ -48,8 +48,6 @@ type lproc = {
   psink : ER.obs_sink option;  (** per-process obs sink, built at spawn *)
 }
 
-type timer = { due : float;  (** wall clock, seconds *) tseq : int; action : unit -> unit }
-
 type t = {
   lock : Mutex.t;  (** procs array, uids, msg ids, notes, net, rngs *)
   mutable procs : lproc array;
@@ -64,9 +62,8 @@ type t = {
   mutable started : bool;
   started_lock : Mutex.t;
   started_cond : Condition.t;
-  timers : timer Heap.t;
+  timers : (unit -> unit) Heap.t;  (** keyed by wall-clock due, seconds *)
   tlock : Mutex.t;
-  mutable tseq : int;
   mutable stopped : bool;
   mutable failure : exn option;
   obs : Obs.Registry.t option;
@@ -93,12 +90,8 @@ let create ?(seed = 0xC0FFEE) ?(net = ER.default_net) ?obs () =
     started = false;
     started_lock = Mutex.create ();
     started_cond = Condition.create ();
-    timers =
-      Heap.create
-        ~leq:(fun a b -> a.due < b.due || (a.due = b.due && a.tseq <= b.tseq))
-        ();
+    timers = Heap.create ();
     tlock = Mutex.create ();
-    tseq = 0;
     stopped = false;
     failure = None;
     obs;
@@ -146,8 +139,7 @@ let record_failure t e =
 
 let push_timer t ~due action =
   Mutex.lock t.tlock;
-  t.tseq <- t.tseq + 1;
-  Heap.push t.timers { due; tseq = t.tseq; action };
+  Heap.push t.timers due action;
   Mutex.unlock t.tlock
 
 let push_timer_ms t ~after_ms action =
@@ -158,11 +150,9 @@ let rec timer_loop t =
   Mutex.lock t.tlock;
   let stop = t.stopped in
   let rec drain acc =
-    match Heap.peek t.timers with
-    | Some tm when tm.due <= now ->
-        ignore (Heap.pop t.timers);
-        drain (tm.action :: acc)
-    | _ -> acc
+    if (not (Heap.is_empty t.timers)) && Heap.min_key t.timers <= now then
+      drain (Heap.pop t.timers :: acc)
+    else acc
   in
   let actions = drain [] in
   Mutex.unlock t.tlock;

@@ -44,6 +44,67 @@ let prop_reg_name_round_trip =
       = Some (group, rid))
 
 (* ------------------------------------------------------------------ *)
+(* The batching window's request queue: FIFO, deduplicated by (rid, j).
+   Items here are (name, j) with the request id taken from the name. *)
+
+let intake () = Intake.create ~rid:(fun (r, _) -> r) ()
+let item rid j = ((rid, Printf.sprintf "r%d" rid), j)
+let contents q = List.map (fun ((rid, _), j) -> (rid, j)) (Intake.take q max_int)
+let check_items = Alcotest.(check (list (pair int int)))
+
+let test_intake_dedupe () =
+  let q = intake () in
+  Intake.add q (item 1 0);
+  Intake.add q (item 2 0);
+  Intake.add q (item 1 0);
+  Intake.add q (item 1 1);
+  Intake.add q (item 2 0);
+  Alcotest.(check int) "length" 3 (Intake.length q);
+  check_items "one per (rid, j), first arrival's place"
+    [ (1, 0); (2, 0); (1, 1) ] (contents q);
+  Alcotest.(check bool) "empty after take all" true (Intake.is_empty q)
+
+let test_intake_take () =
+  let q = intake () in
+  List.iter (fun r -> Intake.add q (item r 0)) [ 5; 3; 9; 1 ];
+  check_items "first two, oldest first" [ (5, 0); (3, 0) ]
+    (List.map (fun ((r, _), j) -> (r, j)) (Intake.take q 2));
+  Alcotest.(check int) "two left" 2 (Intake.length q);
+  (* a taken (rid, j) is no longer queued: a retransmission re-enters *)
+  Intake.add q (item 5 0);
+  Intake.add q (item 9 0);
+  check_items "re-add after take accepted, queued one still deduped"
+    [ (9, 0); (1, 0); (5, 0) ] (contents q);
+  check_items "take on empty" [] (contents q)
+
+let test_intake_requeue () =
+  let q = intake () in
+  List.iter (fun r -> Intake.add q (item r 0)) [ 1; 2; 3; 4 ];
+  let taken = Intake.take q 2 in
+  Intake.add q (item 5 0);
+  (* 4 is back in the queue too: a requeued copy must not duplicate it *)
+  Intake.requeue q (taken @ [ item 4 0 ]);
+  check_items "requeued in front, in order, no duplicate"
+    [ (1, 0); (2, 0); (3, 0); (4, 0); (5, 0) ] (contents q)
+
+let test_intake_transfer_clear () =
+  let limbo = intake () and pending = intake () in
+  List.iter (fun r -> Intake.add limbo (item r 0)) [ 7; 8 ];
+  Intake.transfer limbo pending;
+  Alcotest.(check bool) "source emptied" true (Intake.is_empty limbo);
+  Intake.add limbo (item 9 0);
+  Intake.add limbo (item 7 0);
+  Intake.transfer limbo pending;
+  check_items "appended, already-queued skipped" [ (7, 0); (8, 0); (9, 0) ]
+    (contents pending);
+  Intake.add limbo (item 1 0);
+  Intake.add limbo (item 7 0);
+  Intake.clear limbo;
+  Alcotest.(check int) "cleared" 0 (Intake.length limbo);
+  Intake.add limbo (item 7 0);
+  check_items "re-add after clear accepted" [ (7, 0) ] (contents limbo)
+
+(* ------------------------------------------------------------------ *)
 (* Group commit at the storage / resource-manager layer: one forced write
    covers a whole batch. *)
 
@@ -306,6 +367,14 @@ let () =
           Alcotest.test_case "rejects non-regA names" `Quick
             test_reg_name_rejects_others;
           q prop_reg_name_round_trip;
+        ] );
+      ( "intake",
+        [
+          Alcotest.test_case "dedupe by (rid, j)" `Quick test_intake_dedupe;
+          Alcotest.test_case "take order, re-add" `Quick test_intake_take;
+          Alcotest.test_case "requeue in front" `Quick test_intake_requeue;
+          Alcotest.test_case "transfer and clear" `Quick
+            test_intake_transfer_clear;
         ] );
       ( "group-commit",
         [

@@ -23,49 +23,45 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
-let test_heap_ordering () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) () in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
+let drain_heap h =
   let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+    if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc)
   in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
+  drain []
+
+let test_heap_ordering () =
+  let h = Heap.create () in
+  List.iter (fun k -> Heap.push h (float_of_int k) k) [ 5; 1; 4; 1; 3; 9; 2 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain_heap h)
 
 let test_heap_peek () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) () in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
+  let h = Heap.create () in
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  Alcotest.check_raises "empty peek" (Invalid_argument "Heap.top: empty heap")
+    (fun () -> ignore (Heap.top h : int));
+  Heap.push h 3. 3;
+  Heap.push h 1. 1;
+  Alcotest.(check int) "peek min" 1 (Heap.top h);
+  check_float "min key" 1. (Heap.min_key h);
   Alcotest.(check int) "length" 2 (Heap.length h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Heap.create ~leq:(fun a b -> a <= b) () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
+      let h = Heap.create () in
+      List.iter (fun x -> Heap.push h (float_of_int x) x) xs;
+      drain_heap h = List.sort compare xs)
 
 let prop_heap_stable_on_ties =
-  (* With (key, seq) ordering, equal keys drain in insertion order — the
-     engine relies on this for determinism. *)
+  (* Equal keys drain in push order — the engine relies on this for
+     determinism. *)
   QCheck.Test.make ~name:"heap FIFO among equal keys" ~count:200
     QCheck.(list (int_bound 5))
     (fun keys ->
-      let h =
-        Heap.create
-          ~leq:(fun (k1, s1) (k2, s2) -> k1 < k2 || (k1 = k2 && s1 <= s2))
-          ()
-      in
-      List.iteri (fun i k -> Heap.push h (k, i)) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      let out = drain [] in
+      let h = Heap.create () in
+      List.iteri (fun i k -> Heap.push h (float_of_int k) (k, i)) keys;
+      let out = drain_heap h in
       (* sequence numbers are increasing within each key class *)
       let by_key = Hashtbl.create 8 in
       List.for_all
@@ -74,6 +70,36 @@ let prop_heap_stable_on_ties =
           Hashtbl.replace by_key k s;
           s > prev)
         out)
+
+let prop_heap_interleaved =
+  (* Random pushes (few distinct keys, so many ties) interleaved with pops:
+     every pop must return what a model list stably sorted by key returns,
+     i.e. the least (key, push index). [None] is a pop. *)
+  QCheck.Test.make ~name:"heap interleaved = stable sort"
+    ~count:300
+    QCheck.(list (option (int_bound 3)))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and pushed = ref 0 in
+      List.for_all
+        (function
+          | Some k ->
+              Heap.push h (float_of_int k) !pushed;
+              model := !model @ [ (k, !pushed) ];
+              incr pushed;
+              Heap.length h = List.length !model
+          | None -> (
+              match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+              | [] -> Heap.is_empty h
+              | (k, i) :: _ ->
+                  model := List.filter (fun (_, i') -> i' <> i) !model;
+                  let key = Heap.min_key h in
+                  let v = Heap.pop h in
+                  key = float_of_int k && v = i))
+        ops
+      && drain_heap h
+         = List.map snd
+             (List.stable_sort (fun (a, _) (b, _) -> compare a b) !model))
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -996,6 +1022,7 @@ let () =
           Alcotest.test_case "peek/length" `Quick test_heap_peek;
           q prop_heap_sorts;
           q prop_heap_stable_on_ties;
+          q prop_heap_interleaved;
         ] );
       ( "fifo",
         [
