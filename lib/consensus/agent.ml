@@ -44,6 +44,9 @@ type instance = {
   mutable saved_ts : int;
   mutable restart_round : int;
       (** never participate at or below a round acknowledged before a crash *)
+  mutable waiting : int;
+      (** local fibers blocked in [propose] on this instance; the decision
+          wakeup is queued only while this is positive *)
 }
 
 (* Crash-recovery stable log: adoptions (before the ack leaves) and
@@ -94,6 +97,7 @@ let ensure t key =
           saved_est = None;
           saved_ts = -1;
           restart_round = 0;
+          waiting = 0;
         }
       in
       Hashtbl.replace t.instances key inst;
@@ -168,8 +172,11 @@ let record_decision t inst value =
           s.Rt.obs_count "consensus.decides" 1;
           s.Rt.obs_event ~trace:(trace_of_key inst.key) "consensus-decide"
             inst.key);
-      (* wake any local proposer blocked in [propose] *)
-      Rt.redeliver ~src:t.self (C_decided_local { key = inst.key });
+      (* wake a local proposer blocked in [propose]; with none waiting
+         nothing would ever take the wakeup, and it would sit in the
+         mailbox for every later [propose] to scan past *)
+      if inst.waiting > 0 then
+        Rt.redeliver ~src:t.self (C_decided_local { key = inst.key });
       (* reliable broadcast: forward on first learn *)
       List.iter
         (fun p ->
@@ -427,13 +434,18 @@ let propose t ~key value =
         | C_decided_local { key = k } -> k = key
         | _ -> false
       in
+      (* the counter spans the whole loop, so a proposer between a poll
+         timeout and its next receive still gets the wakeup *)
       let rec wait () =
         match inst.decided with
-        | Some v -> v
+        | Some v ->
+            inst.waiting <- inst.waiting - 1;
+            v
         | None ->
             ignore (Rt.recv ~timeout:(t.poll *. 5.) ~cls:cls_decided ~filter:wants ());
             wait ()
       in
+      inst.waiting <- inst.waiting + 1;
       wait ()
 
 let peek t ~key =

@@ -41,6 +41,9 @@ type instance = {
   mutable accepted : (int * Types.payload) option;
   mutable decided : Types.payload option;
   mutable proposing : bool;  (** a proposer fiber is active here *)
+  mutable waiting : int;
+      (** local fibers blocked in [propose]; the decision wakeup is queued
+          only while this is positive *)
 }
 
 type t = {
@@ -79,7 +82,14 @@ let ensure t key =
   | Some inst -> inst
   | None ->
       let inst =
-        { key; promised = -1; accepted = None; decided = None; proposing = false }
+        {
+          key;
+          promised = -1;
+          accepted = None;
+          decided = None;
+          proposing = false;
+          waiting = 0;
+        }
       in
       Hashtbl.replace t.instances key inst;
       inst
@@ -87,7 +97,9 @@ let ensure t key =
 let learn t inst value =
   if inst.decided = None then begin
     inst.decided <- Some value;
-    Rt.redeliver ~src:t.self (S_decided_local { key = inst.key });
+    (* only a blocked local proposer ever takes the wakeup *)
+    if inst.waiting > 0 then
+      Rt.redeliver ~src:t.self (S_decided_local { key = inst.key });
     List.iter
       (fun p ->
         if p <> t.self then Rchannel.send t.ch p (S_learn { key = inst.key; value }))
@@ -248,11 +260,14 @@ let propose t ~key value =
       in
       let rec wait () =
         match inst.decided with
-        | Some v -> v
+        | Some v ->
+            inst.waiting <- inst.waiting - 1;
+            v
         | None ->
             ignore (Rt.recv ~timeout:10. ~cls:cls_decided ~filter:wants ());
             wait ()
       in
+      inst.waiting <- inst.waiting + 1;
       wait ()
 
 let peek t ~key =

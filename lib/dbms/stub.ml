@@ -3,11 +3,12 @@ module Rt = Etx_runtime
 open Dnet
 
 module Readiness = struct
-  type t = { epochs : (Types.proc_id, int) Hashtbl.t }
+  (* by database pid; never iterated, so bucket order reaches no output *)
+  type t = { epochs : int Itbl.t }
 
   let create ~dbs =
-    let epochs = Hashtbl.create 8 in
-    List.iter (fun db -> Hashtbl.replace epochs db 0) dbs;
+    let epochs = Itbl.create 8 in
+    List.iter (fun db -> Itbl.replace epochs db 0) dbs;
     { epochs }
 
   let listener t () =
@@ -15,15 +16,15 @@ module Readiness = struct
       match Rt.recv_cls Msg.cls_ready with
       | None -> ()
       | Some m ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt t.epochs m.src) in
-          Hashtbl.replace t.epochs m.src (cur + 1);
+          let cur = Option.value ~default:0 (Itbl.find_opt t.epochs m.src) in
+          Itbl.replace t.epochs m.src (cur + 1);
           loop ()
     in
     loop ()
 
   let start t = Rt.fork "readiness" (listener t)
 
-  let epoch t db = Option.value ~default:0 (Hashtbl.find_opt t.epochs db)
+  let epoch t db = Option.value ~default:0 (Itbl.find_opt t.epochs db)
 end
 
 (* Core pattern: send the request, wait for a matching reply; if the

@@ -39,15 +39,6 @@ type out_entry = {
   mutable acked : bool;
 }
 
-(* int-keyed tables: sequence numbers, pids and endpoint ids hash to
-   themselves, so lookups skip the polymorphic hash and compare *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
 (* sender-side per-destination stream *)
 type dst_state = {
   mutable next_seq : int;

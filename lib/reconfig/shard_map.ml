@@ -29,14 +29,14 @@ type t = { epoch : int; policy : policy; assignment : node array }
    2^63, which is just as mixing). [Hashtbl.hash] would work today, but its
    value is not pinned by the language; a hand-rolled hash keeps shard
    placement stable across compiler versions, which the deterministic
-   replay story depends on. *)
+   replay story depends on. An index loop over a local [ref] that no
+   closure captures compiles to a register: routing a client try
+   allocates nothing here. *)
 let fnv1a key =
   let h = ref 0x4bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    key;
+  for i = 0 to String.length key - 1 do
+    h := (!h lxor Char.code key.[i]) * 0x100000001b3
+  done;
   !h land max_int
 
 let create ?(policy = Hash) ~shards () =

@@ -484,6 +484,98 @@ let test_latecomer_gets_decide_after_driver_exit () =
   | None -> Alcotest.fail "late proposer got nothing"
 
 (* ------------------------------------------------------------------ *)
+(* Local decision wakeups: only a member with a proposer blocked in
+   [propose] is sent one; every other member learns the decision without
+   leaving an untaken message in its mailbox. *)
+
+(* [Delivered] entries per destination whose payload is of class [name] *)
+let delivered_of_class t ~n name =
+  let counts = Array.make n 0 in
+  List.iter
+    (fun { Trace.event; _ } ->
+      match event with
+      | Trace.Delivered m
+        when Engine.class_name (Engine.classify m.Types.payload) = name ->
+          counts.(m.dst) <- counts.(m.dst) + 1
+      | _ -> ())
+    (Trace.entries (Engine.trace t));
+  counts
+
+let twenty_keys = List.init 20 (Printf.sprintf "k%d")
+
+let test_agent_wakeup_only_to_waiting_proposer () =
+  let decided = ref 0 in
+  let t =
+    members_scenario ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then
+          List.iter
+            (fun key ->
+              ignore (Consensus.Agent.propose agent ~key (V 1));
+              incr decided)
+            twenty_keys)
+      ()
+  in
+  ignore (Engine.run ~deadline:5_000. t);
+  Alcotest.(check int) "every key decided" 20 !decided;
+  Alcotest.(check (array int))
+    "ct-decided deliveries per member" [| 20; 0; 0 |]
+    (delivered_of_class t ~n:3 "ct-decided")
+
+let test_synod_wakeup_only_to_waiting_proposer () =
+  let decided = ref 0 in
+  let t =
+    synod_scenario ~n:3
+      ~behave:(fun i synod ->
+        if i = 0 then
+          List.iter
+            (fun key ->
+              ignore (Consensus.Synod.propose synod ~key (V 1));
+              incr decided)
+            twenty_keys)
+      ()
+  in
+  ignore (Engine.run ~deadline:5_000. t);
+  Alcotest.(check int) "every key decided" 20 !decided;
+  Alcotest.(check (array int))
+    "synod-decided deliveries per member" [| 20; 0; 0 |]
+    (delivered_of_class t ~n:3 "synod-decided")
+
+let test_two_local_proposers_same_key () =
+  let results = Array.make 2 None in
+  let t =
+    members_scenario ~n:3
+      ~behave:(fun i agent ->
+        if i = 0 then begin
+          let t0 = Engine.now () in
+          let run slot value () =
+            let v = Consensus.Agent.propose agent ~key:"k" (V value) in
+            results.(slot) <- Some (int_of_v v, Engine.now () -. t0)
+          in
+          Engine.fork "second-proposer" (run 1 8);
+          run 0 7 ()
+        end)
+      ()
+  in
+  ignore (Engine.run ~deadline:2_000. t);
+  (match results with
+  | [| Some (v0, e0); Some (v1, e1) |] ->
+      Alcotest.(check int) "same value" v0 v1;
+      Alcotest.(check bool) "validity" true (List.mem v0 [ 7; 8 ]);
+      (* the wakeup resumes one proposer; the other sees the decision at
+         its next poll, 10 ms at most *)
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "returned within the bound (%.2f ms)" e)
+            true (e < 20.))
+        [ e0; e1 ]
+  | _ -> Alcotest.fail "a proposer did not return");
+  Alcotest.(check int)
+    "one wakeup for the decision" 1
+    (delivered_of_class t ~n:3 "ct-decided").(0)
+
+(* ------------------------------------------------------------------ *)
 (* Properties under random loss, delay, crashes and real failure
    detectors. *)
 
@@ -596,5 +688,14 @@ let () =
             test_collect_respects_age;
           Alcotest.test_case "latecomer after local GC" `Quick
             test_latecomer_gets_decide_after_driver_exit;
+        ] );
+      ( "wake",
+        [
+          Alcotest.test_case "agent: only a waiting proposer" `Quick
+            test_agent_wakeup_only_to_waiting_proposer;
+          Alcotest.test_case "synod: only a waiting proposer" `Quick
+            test_synod_wakeup_only_to_waiting_proposer;
+          Alcotest.test_case "two local proposers, one key" `Quick
+            test_two_local_proposers_same_key;
         ] );
     ]

@@ -37,6 +37,36 @@ let test_epoch0_identity () =
         some_keys)
     [ 1; 2; 3; 4; 8 ]
 
+(* fixed placements: [fnv1a] and [shard_of] may be reimplemented, but a
+   key's shard must never move, or a replayed run lands its keys on other
+   groups. Each row: key, fnv1a, shard over 2 slots, shard over 4 slots,
+   shard after splitting group 0 of the 2-slot map into group 2. *)
+let pinned_placements =
+  [
+    ("", 860922984064492325, 1, 1, 1);
+    ("a", 3414815163700866188, 0, 0, 0);
+    ("acct0", 1526540200823202926, 0, 2, 2);
+    ("acct7", 1526543499358087559, 1, 3, 1);
+    ("acct42", 3110731415523925656, 0, 0, 0);
+    ("g0:regD:r1003[1]", 2618867090396264409, 1, 1, 1);
+    ("zebra", 3970331202515206575, 1, 3, 1);
+    ("k\255\000x", 3919245296497946815, 1, 3, 1);
+  ]
+
+let test_pinned_placements () =
+  let m2 = Shard_map.create ~shards:2 () and m4 = Shard_map.create ~shards:4 () in
+  let split = Shard_map.split m2 ~group:0 ~target:2 () in
+  List.iter
+    (fun (k, h, s2, s4, sx) ->
+      Alcotest.(check int) (Printf.sprintf "fnv1a %S" k) h (Shard_map.fnv1a k);
+      Alcotest.(check int) (Printf.sprintf "%S over 2" k) s2
+        (Shard_map.shard_of m2 k);
+      Alcotest.(check int) (Printf.sprintf "%S over 4" k) s4
+        (Shard_map.shard_of m4 k);
+      Alcotest.(check int) (Printf.sprintf "%S after split" k) sx
+        (Shard_map.shard_of split k))
+    pinned_placements
+
 let test_split_refinement () =
   let m0 = Shard_map.create ~shards:2 () in
   let m1 = Shard_map.split m0 ~group:0 ~target:2 () in
@@ -587,6 +617,7 @@ let () =
           Alcotest.test_case "range split at a boundary" `Quick
             test_range_split_boundary;
           Alcotest.test_case "boundary helpers" `Quick test_boundary_helpers;
+          Alcotest.test_case "pinned placements" `Quick test_pinned_placements;
         ] );
       ( "storage",
         [
